@@ -103,6 +103,7 @@ struct FlowOptions {
 /// times are summed across controllers (CPU-style totals); the wall time
 /// of the parallel region is reported separately so speedup is visible.
 struct StageTimings {
+  // Stage *_ms fields are CPU-style sums; *_wall_ms and total_ms are wall time.
   double to_ch_ms = 0.0;      ///< Balsa-to-CH translation (+ templates)
   double cluster_ms = 0.0;    ///< T1/T2 clustering
   double bm_compile_ms = 0.0; ///< CH-to-BMS, summed across controllers

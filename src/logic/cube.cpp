@@ -10,7 +10,7 @@ Cube Cube::parse(std::string_view text) {
     switch (text[i]) {
       case '0': c.set(i, Lit::kZero); break;
       case '1': c.set(i, Lit::kOne); break;
-      case '-': c.set(i, Lit::kDash); break;
+      case '-': break;
       default:
         throw std::invalid_argument("Cube::parse: bad character in '" +
                                     std::string(text) + "'");
@@ -29,25 +29,17 @@ Cube Cube::from_minterm(const std::vector<bool>& bits) {
 
 std::size_t Cube::num_literals() const {
   std::size_t n = 0;
-  for (const Lit l : lits_) {
-    if (l != Lit::kDash) ++n;
+  for (const std::uint64_t w : words_) {
+    // A field is DASH iff both its bits are set; tail fields are DASH.
+    n += static_cast<std::size_t>(std::popcount(~(w & (w >> 1)) & kLowBits));
   }
   return n;
 }
 
 bool Cube::contains(const Cube& other) const {
   if (size() != other.size()) return false;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (lits_[i] != Lit::kDash && lits_[i] != other.lits_[i]) return false;
-  }
-  return true;
-}
-
-bool Cube::agrees_with_fixed(const Cube& other) const {
-  const std::size_t n = std::min(size(), other.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (other[i] == Lit::kDash) continue;
-    if (lits_[i] != Lit::kDash && lits_[i] != other[i]) return false;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    if ((other.words_[w] & ~words_[w]) != 0) return false;
   }
   return true;
 }
@@ -55,46 +47,48 @@ bool Cube::agrees_with_fixed(const Cube& other) const {
 bool Cube::contains_minterm(const std::vector<bool>& bits) const {
   if (bits.size() != size()) return false;
   for (std::size_t i = 0; i < size(); ++i) {
-    if (lits_[i] == Lit::kDash) continue;
-    if ((lits_[i] == Lit::kOne) != bits[i]) return false;
+    const Lit l = (*this)[i];
+    if (l != Lit::kDash && (l == Lit::kOne) != bits[i]) return false;
   }
   return true;
 }
 
-bool Cube::intersects(const Cube& other) const { return distance(other) == 0; }
+bool Cube::intersects(const Cube& other) const {
+  const std::size_t n = std::min(words_.size(), other.words_.size());
+  for (std::size_t w = 0; w < n; ++w) {
+    if (empty_fields(words_[w] & other.words_[w]) != 0) return false;
+  }
+  return true;
+}
 
 std::optional<Cube> Cube::intersect(const Cube& other) const {
   if (size() != other.size()) return std::nullopt;
-  Cube out(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    const Lit a = lits_[i];
-    const Lit b = other.lits_[i];
-    if (a == Lit::kDash) {
-      out.set(i, b);
-    } else if (b == Lit::kDash || a == b) {
-      out.set(i, a);
-    } else {
-      return std::nullopt;  // conflicting required values
-    }
+  Cube out = *this;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    out.words_[w] &= other.words_[w];
+    // An empty field means conflicting required values.
+    if (empty_fields(out.words_[w]) != 0) return std::nullopt;
   }
   return out;
 }
 
 Cube Cube::supercube(const Cube& other) const {
-  Cube out(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    out.set(i, lits_[i] == other.lits_[i] ? lits_[i] : Lit::kDash);
+  if (size() != other.size()) {
+    throw std::invalid_argument("Cube::supercube: sizes differ");
+  }
+  Cube out = *this;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    out.words_[w] |= other.words_[w];
   }
   return out;
 }
 
 std::size_t Cube::distance(const Cube& other) const {
   std::size_t d = 0;
-  const std::size_t n = std::min(size(), other.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Lit a = lits_[i];
-    const Lit b = other.lits_[i];
-    if (a != Lit::kDash && b != Lit::kDash && a != b) ++d;
+  const std::size_t n = std::min(words_.size(), other.words_.size());
+  for (std::size_t w = 0; w < n; ++w) {
+    d += static_cast<std::size_t>(
+        std::popcount(empty_fields(words_[w] & other.words_[w])));
   }
   return d;
 }
@@ -108,10 +102,22 @@ Cube Cube::raised(std::size_t i) const {
 std::string Cube::to_string() const {
   std::string s;
   s.reserve(size());
-  for (const Lit l : lits_) {
+  for (std::size_t i = 0; i < size(); ++i) {
+    const Lit l = (*this)[i];
     s.push_back(l == Lit::kZero ? '0' : (l == Lit::kOne ? '1' : '-'));
   }
   return s;
+}
+
+std::size_t Cube::hash() const {
+  // The words alone do not give the size (the DASH tail is only known up
+  // to a word boundary), so the size seeds the hash.
+  std::uint64_t h = 0xcbf29ce484222325ULL ^ size_;
+  for (const std::uint64_t w : words_) {
+    h = (h ^ w) * 0x100000001b3ULL;
+    h ^= h >> 32;
+  }
+  return static_cast<std::size_t>(h);
 }
 
 }  // namespace bb::logic

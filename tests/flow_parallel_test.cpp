@@ -141,7 +141,11 @@ TEST(ParallelFlowSuite, StageAggregatesEqualPerControllerSums) {
   // The aggregate lint time also covers the handshake- and gate-level
   // passes, which run outside any controller.
   EXPECT_GE(t.lint_ms, lint);
-  EXPECT_LE(t.bm_compile_ms + t.minimalist_ms + t.techmap_ms, t.total_ms);
+  // Stage fields sum CPU-style over controllers, so on t.jobs workers they
+  // may exceed the call's wall time by up to that factor; a serial run
+  // (t.jobs == 1) stays within total_ms.
+  EXPECT_LE(t.bm_compile_ms + t.minimalist_ms + t.techmap_ms,
+            t.total_ms * t.jobs);
   // to_json stays field-compatible with the pre-observability format.
   const std::string json = t.to_json();
   EXPECT_EQ(json.rfind("{\"schema_version\":", 0), 0u);
