@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/flow/faultsim.hpp"
+#include "src/minimalist/cache.hpp"
 #include "src/obs/session.hpp"
 #include "src/util/io.hpp"
 
@@ -38,8 +39,11 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> designs{"systolic", "wagging", "stack",
                                          "ssem"};
-  const auto result = bb::flow::run_fault_campaign(
-      designs, bb::flow::FlowOptions::optimized(), campaign);
+  bb::minimalist::SynthCache cache;
+  bb::flow::FlowOptions options = bb::flow::FlowOptions::optimized();
+  options.cache_instance = &cache;
+  const auto result =
+      bb::flow::run_fault_campaign(designs, options, campaign);
 
   std::cout << result.to_text();
   bb::util::write_file_atomic(json_path, result.to_json() + "\n");

@@ -50,12 +50,11 @@ struct Run {
   bb::flow::StageTimings timings;
 };
 
-Run run_flow(const bb::hsnet::Netlist& net, int jobs, bool cache,
-             bb::minimalist::SynthCache* cache_instance) {
+Run run_flow(const bb::hsnet::Netlist& net, int jobs,
+             bb::minimalist::SynthCache* cache) {
   bb::flow::FlowOptions options = bb::flow::FlowOptions::optimized();
   options.jobs = jobs;
-  options.cache = cache;
-  options.cache_instance = cache_instance;
+  options.cache_instance = cache;
   const auto start = Clock::now();
   const auto result = bb::flow::synthesize_control(net, options);
   Run run;
@@ -85,11 +84,11 @@ int main(int argc, char** argv) {
   for (const auto* design : bb::designs::all_designs()) {
     const auto net = bb::balsa::compile_source(design->source);
 
-    const Run serial = run_flow(net, 1, false, nullptr);
-    const Run parallel = run_flow(net, 0, false, nullptr);
+    const Run serial = run_flow(net, 1, nullptr);
+    const Run parallel = run_flow(net, 0, nullptr);
     bb::minimalist::SynthCache cache;
-    const Run cold = run_flow(net, 0, true, &cache);
-    const Run warm = run_flow(net, 0, true, &cache);
+    const Run cold = run_flow(net, 0, &cache);
+    const Run warm = run_flow(net, 0, &cache);
 
     const bool identical = serial.fingerprint == parallel.fingerprint &&
                            serial.fingerprint == cold.fingerprint &&

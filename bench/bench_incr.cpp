@@ -94,6 +94,8 @@ int main(int argc, char** argv) {
   fs::remove_all(project);
   fs::remove_all(scratch);
 
+  // No synthesis cache: every build pays for exactly the units it
+  // rebuilds, so the scratch reference below is a true cold build.
   const auto options = bb::flow::FlowOptions::optimized();
   const Run cold = timed_build(source, project.string(), options);
   const Run warm = timed_build(source, project.string(), options);

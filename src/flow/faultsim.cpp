@@ -24,6 +24,7 @@
 #include "src/trace/automaton.hpp"
 #include "src/trace/spec_lts.hpp"
 #include "src/util/prng.hpp"
+#include "src/util/strings.hpp"
 
 namespace bb::flow {
 
@@ -295,8 +296,9 @@ bool fault_detected(FaultOutcome outcome) {
 std::uint64_t effective_seed(const CampaignOptions& options) {
   if (options.seed != 0) return options.seed;
   if (const char* env = std::getenv("BB_SEED")) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<std::uint64_t>(parsed);
+    if (const auto n = util::parse_ll(env); n.has_value() && *n > 0) {
+      return static_cast<std::uint64_t>(*n);
+    }
   }
   return 1;
 }

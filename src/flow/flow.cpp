@@ -16,9 +16,9 @@
 #include "src/lint/diag.hpp"
 #include "src/petri/from_ch.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/session.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/workbudget.hpp"
 
@@ -130,20 +130,17 @@ std::uint64_t effective_work_budget(const FlowOptions& options) {
   }
   if (options.work_budget < 0) return 0;
   if (const char* env = std::getenv("BB_WORK_BUDGET")) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<std::uint64_t>(parsed);
+    // Structured parse, as for BB_JOBS: garbage or trailing text ("1e6",
+    // "10x") falls back to unlimited instead of a prefix-parsed cap.
+    if (const auto n = util::parse_ll(env); n.has_value() && *n > 0) {
+      return static_cast<std::uint64_t>(*n);
+    }
   }
   return 0;
 }
 
 ControlResult synthesize_control(const hsnet::Netlist& netlist,
                                  const FlowOptions& options) {
-  // A per-call session (FlowOptions paths) nests inside any session the
-  // tool already opened: only the outermost owner writes artifacts.
-  std::optional<obs::Session> session;
-  if (!options.trace_path.empty() || !options.metrics_path.empty()) {
-    session.emplace(options.trace_path, options.metrics_path);
-  }
   ControlResult result;
   // All StageTimings fields are accumulated through spans; the span also
   // records a trace event when tracing is on.  The total span is closed
@@ -155,11 +152,7 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
   total_span.arg("design", netlist.name());
   obs::Registry::global().counter("flow.runs").add();
   const auto& lib = techmap::CellLibrary::ams035();
-  minimalist::SynthCache* cache =
-      options.cache ? (options.cache_instance != nullptr
-                           ? options.cache_instance
-                           : &minimalist::SynthCache::global())
-                    : nullptr;
+  minimalist::SynthCache* cache = options.cache_instance;
   // Salt every cache key with the technology contract so a persistent
   // tier can never serve a controller mapped under a different library.
   if (cache != nullptr) cache->set_library_version(lib.fingerprint());

@@ -54,14 +54,12 @@ struct FlowOptions {
   /// concurrency); 1 forces the serial path.  Parallel output is merged
   /// in controller-index order and is byte-identical to the serial flow.
   int jobs = 0;
-  /// Memoize Burst-Mode synthesis through a content-addressed cache
-  /// (keyed on bm::Spec::to_canonical() + mode, so structurally
-  /// identical controllers from different instances share one entry).
-  /// The cache is exact — cached and uncached flows produce identical
-  /// results — so it is on by default; set false as an escape hatch.
-  bool cache = true;
-  /// Cache instance to use; nullptr = the process-wide
-  /// minimalist::SynthCache::global().  Tests inject a local instance.
+  /// Memoize Burst-Mode synthesis through this caller-owned cache (keyed
+  /// on bm::Spec::to_canonical() + mode, so structurally identical
+  /// controllers from different instances share one entry).  nullptr =
+  /// no memo: the library never caches on its own, so a flow's result
+  /// and cost never depend on what the process synthesized earlier.  The
+  /// cache is exact — cached and uncached flows produce identical results.
   minimalist::SynthCache* cache_instance = nullptr;
   /// Fail-fast behaviour (the default): any controller failure aborts
   /// synthesize_control with the original exception.  When false, a
@@ -79,17 +77,6 @@ struct FlowOptions {
   /// otherwise); < 0 forces unlimited; > 0 is an explicit cap.  A cache
   /// hit costs no budgeted work.
   long long work_budget = 0;
-  /// When non-empty, this synthesize_control call collects a span trace
-  /// and writes it here as Chrome trace-event JSON (open in Perfetto or
-  /// chrome://tracing).  If an enclosing obs::Session already owns the
-  /// trace (e.g. a tool passed --trace), the spans land in that trace
-  /// instead and no separate file is written.  Tools usually leave this
-  /// empty and own the session themselves; the BB_TRACE environment
-  /// variable is honored at the tool layer, not here.
-  std::string trace_path;
-  /// When non-empty, a metrics snapshot (obs::Registry::global()) is
-  /// written here after the call.  Same ownership rules as trace_path.
-  std::string metrics_path;
 
   /// The paper's optimized back-end configuration.
   static FlowOptions optimized();

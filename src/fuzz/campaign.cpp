@@ -110,7 +110,8 @@ std::uint64_t effective_seed(const FuzzOptions& options) {
 
 OracleResult check_design(const hsnet::Netlist& netlist,
                           const FuzzOptions& options,
-                          std::uint64_t value_seed) {
+                          std::uint64_t value_seed,
+                          minimalist::SynthCache* cache) {
   OracleResult worst;
   worst.verdict = Verdict::kPass;
   const auto merge = [&worst](OracleResult next) {
@@ -126,7 +127,7 @@ OracleResult check_design(const hsnet::Netlist& netlist,
     if (rank(next.verdict) > rank(worst.verdict)) worst = std::move(next);
   };
   if (options.sim_oracle) {
-    merge(differential_check(netlist, value_seed, options.sim_limits));
+    merge(differential_check(netlist, value_seed, options.sim_limits, cache));
     if (worst.verdict == Verdict::kDiscrepancy) return worst;
     // A design both flows reject has no circuits to check conformance
     // on either; classify it once and stop.
@@ -234,7 +235,7 @@ class CampaignRunner {
 
     const auto check = [&](const balsa::Procedure& p) -> OracleResult {
       try {
-        return check_design(balsa::compile(p), options_, case_seed);
+        return check_design(balsa::compile(p), options_, case_seed, &cache_);
       } catch (const std::exception& e) {
         // The generator promises compilable programs; a compile crash
         // is itself a finding.
@@ -273,7 +274,7 @@ class CampaignRunner {
     const RecipeNode recipe = generate_recipe(rng, gen_options);
 
     const auto check = [&](const RecipeNode& node) {
-      return check_design(build_recipe(node), options_, case_seed);
+      return check_design(build_recipe(node), options_, case_seed, &cache_);
     };
     OracleResult outcome = check(recipe);
     std::string design = recipe_to_text(recipe);
@@ -294,6 +295,8 @@ class CampaignRunner {
   }
 
   const FuzzOptions& options_;
+  /// The campaign's synthesis memo, shared by every case and shrink step.
+  minimalist::SynthCache cache_;
   std::uint64_t seed_;
   bool deadline_set_;
   std::chrono::steady_clock::time_point deadline_;

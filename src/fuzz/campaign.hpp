@@ -90,9 +90,12 @@ struct FuzzResult {
 /// Runs the enabled oracles on one design and returns the worst
 /// result (discrepancy > skipped > rejected > pass).  This is the
 /// per-case kernel of the campaign and the regression-corpus replayer.
+/// `cache` is passed to the sim oracle (nullptr = no memo); a campaign
+/// owns one for all of its cases and shrink steps.
 OracleResult check_design(const hsnet::Netlist& netlist,
                           const FuzzOptions& options,
-                          std::uint64_t value_seed);
+                          std::uint64_t value_seed,
+                          minimalist::SynthCache* cache = nullptr);
 
 FuzzResult run_fuzz_campaign(const FuzzOptions& options);
 

@@ -185,13 +185,18 @@ std::string_view verdict_name(Verdict verdict) {
 
 OracleResult differential_check(const hsnet::Netlist& netlist,
                                 std::uint64_t value_seed,
-                                const SimLimits& limits) {
+                                const SimLimits& limits,
+                                minimalist::SynthCache* cache) {
   OracleResult result;
   result.oracle = "sim";
+  flow::FlowOptions optimized_options = flow::FlowOptions::optimized();
+  flow::FlowOptions baseline_options = flow::FlowOptions::unoptimized();
+  optimized_options.cache_instance = cache;
+  baseline_options.cache_instance = cache;
   const SimObservation optimized =
-      observe(netlist, flow::FlowOptions::optimized(), value_seed, limits);
+      observe(netlist, optimized_options, value_seed, limits);
   const SimObservation baseline =
-      observe(netlist, flow::FlowOptions::unoptimized(), value_seed, limits);
+      observe(netlist, baseline_options, value_seed, limits);
 
   if (optimized.flow_error && baseline.flow_error) {
     result.verdict = Verdict::kRejected;

@@ -80,10 +80,13 @@ struct OracleResult {
   std::vector<std::string> counterexample;  ///< minimal trace, if any
 };
 
-/// Runs the differential-simulation oracle on one design.
+/// Runs the differential-simulation oracle on one design.  Both flows
+/// synthesize through `cache` when the caller hands one in (a campaign
+/// shares one across its cases); nullptr = no memo.
 OracleResult differential_check(const hsnet::Netlist& netlist,
                                 std::uint64_t value_seed,
-                                const SimLimits& limits = {});
+                                const SimLimits& limits = {},
+                                minimalist::SynthCache* cache = nullptr);
 
 /// Runs the conformance oracle: re-derives the clustering for the
 /// design's control partition and checks every multi-member controller

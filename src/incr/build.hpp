@@ -75,9 +75,9 @@ struct BuildResult {
 /// Deterministic fingerprint of every FlowOptions field that can change
 /// output bytes (clustering, mode, state cap, templates, lint and
 /// analysis configuration, strictness, effective work budget).  Fields
-/// proven byte-neutral — jobs, cache, cache_instance, trace/metrics
-/// paths — are excluded, so turning the cache off or changing the worker
-/// count never dirties a project.
+/// proven byte-neutral — jobs and cache_instance — are excluded, so
+/// turning the cache off or changing the worker count never dirties a
+/// project.
 std::string options_fingerprint(const flow::FlowOptions& options);
 
 /// One unit's input digest: canonical procedure source + options

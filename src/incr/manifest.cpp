@@ -17,48 +17,6 @@ namespace bb::incr {
 
 namespace {
 
-/// Frames `body` under a magic line and a checksum line:
-///   <magic> <version>\n<16-hex fnv1a of body>\n<body>
-std::string frame(std::string_view magic, std::string body) {
-  std::string out;
-  out += magic;
-  out += ' ';
-  out += std::to_string(kManifestVersion);
-  out += '\n';
-  out += util::content_digest(body);
-  out += '\n';
-  out += body;
-  return out;
-}
-
-/// Inverse of frame(): verifies magic, version and checksum, returns the
-/// body.  nullopt with a reason on any defect — the caller treats every
-/// defect identically (full rebuild), so reasons are diagnostics only.
-std::optional<std::string> unframe(std::string_view magic,
-                                   std::string_view bytes,
-                                   std::string* error) {
-  const auto fail = [error](std::string reason) -> std::optional<std::string> {
-    if (error != nullptr) *error = std::move(reason);
-    return std::nullopt;
-  };
-  const std::size_t magic_end = bytes.find('\n');
-  if (magic_end == std::string_view::npos) return fail("missing magic line");
-  const std::string expected = std::string(magic) + " " +
-                               std::to_string(kManifestVersion);
-  const std::string_view magic_line = bytes.substr(0, magic_end);
-  if (magic_line != expected) {
-    return fail("bad magic/version line '" + std::string(magic_line) +
-                "' (want '" + expected + "')");
-  }
-  const std::size_t sum_end = bytes.find('\n', magic_end + 1);
-  if (sum_end == std::string_view::npos) return fail("missing checksum line");
-  const std::string_view sum = bytes.substr(magic_end + 1,
-                                            sum_end - magic_end - 1);
-  const std::string_view body = bytes.substr(sum_end + 1);
-  if (sum != util::content_digest(body)) return fail("checksum mismatch");
-  return std::string(body);
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("cannot open '" + path + "'");
@@ -98,12 +56,12 @@ std::string manifest_to_bytes(const Manifest& manifest) {
     w.end_array().end_object();
   }
   w.end_array().end_object();
-  return frame("bbpm", w.str());
+  return util::frame("bbpm", kManifestVersion, w.str());
 }
 
 std::optional<Manifest> manifest_from_bytes(std::string_view bytes,
                                             std::string* error) {
-  const auto body = unframe("bbpm", bytes, error);
+  const auto body = util::unframe("bbpm", kManifestVersion, bytes, error);
   if (!body) return std::nullopt;
   const auto fail = [error](std::string reason) -> std::optional<Manifest> {
     if (error != nullptr) *error = std::move(reason);
@@ -148,12 +106,12 @@ std::string artifact_to_bytes(const Artifact& artifact) {
   w.member("report", artifact.report);
   w.member("verilog", artifact.verilog);
   w.end_object();
-  return frame("bbart", w.str());
+  return util::frame("bbart", kManifestVersion, w.str());
 }
 
 std::optional<Artifact> artifact_from_bytes(std::string_view bytes,
                                             std::string* error) {
-  const auto body = unframe("bbart", bytes, error);
+  const auto body = util::unframe("bbart", kManifestVersion, bytes, error);
   if (!body) return std::nullopt;
   std::string parse_error;
   const auto json = util::parse_json(*body, &parse_error);

@@ -24,7 +24,7 @@
 // output — byte-identical to a full rebuild, because the artifacts *are*
 // the bytes a full rebuild would produce.
 //
-// Both files are framed the same way the disk cache frames its entries:
+// Both files are framed by util::frame, like the disk cache's entries:
 // a magic + version line, a checksum line (util::fnv1a64 over the body),
 // then the body.  Readers verify the frame and treat ANY defect —
 // missing file, bad magic, version bump, checksum mismatch, malformed

@@ -149,11 +149,6 @@ void SynthCache::clear() {
   evictions_ = 0;
 }
 
-SynthCache& SynthCache::global() {
-  static SynthCache cache;
-  return cache;
-}
-
 SynthesizedController synthesize_cached(const bm::Spec& spec, SynthMode mode,
                                         SynthCache& cache, bool* hit,
                                         util::WorkBudget* budget,

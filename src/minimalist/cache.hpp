@@ -17,6 +17,10 @@
 // is bounded: entries beyond `max_entries` are evicted in LRU order so a
 // long-running daemon cannot grow the cache without limit.
 //
+// There is no process-wide instance: whoever wants a memo owns a cache
+// and hands it to the flow (FlowOptions::cache_instance), so results and
+// costs never depend on unrelated earlier work in the same process.
+//
 // The cache is thread-safe (one mutex around the map and counters) and
 // is shared by all workers of the parallel flow.  Backing-store calls
 // are made *outside* that mutex, so a slow disk never stalls workers
@@ -119,10 +123,6 @@ class SynthCache {
 
   Stats stats() const;
   void clear();
-
-  /// The process-wide cache used by the flow when no explicit instance
-  /// is configured.
-  static SynthCache& global();
 
  private:
   struct Entry {

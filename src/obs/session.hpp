@@ -7,11 +7,11 @@
 //   obs::Session session(obs::env_or(trace_flag, "BB_TRACE"),
 //                        obs::env_or(metrics_flag, "BB_METRICS"));
 //
-// Empty paths disable the corresponding artifact.  Sessions nest: only
-// the session that actually enabled tracing writes and disables it, so a
-// library call that opens its own Session (e.g. synthesize_control with
-// FlowOptions::trace_path) is inert when an outer session already owns
-// the trace.
+// Empty paths disable the corresponding artifact.  Library code never
+// opens a Session; the program that owns main() does.  Sessions still
+// nest: only the session that actually enabled tracing writes and
+// disables it, so an inner Session is inert when an outer one already
+// owns the trace.
 #pragma once
 
 #include <string>

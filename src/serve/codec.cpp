@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "src/util/hash.hpp"
 #include "src/util/strings.hpp"
 
 namespace bb::serve {
@@ -85,12 +84,6 @@ std::optional<std::size_t> count_field(std::string_view s) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) {
-  return util::fnv1a64(data, seed);
-}
-
-std::string hex64(std::uint64_t value) { return util::hex64(value); }
 
 std::string serialize_controller(
     const minimalist::SynthesizedController& ctrl) {

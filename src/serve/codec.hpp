@@ -1,6 +1,5 @@
 // Versioned serialization of SynthesizedController for the persistent
-// cache tier, plus the hashing primitives the disk cache addresses
-// entries with.
+// cache tier.
 //
 // The format is line-oriented text: deterministic by construction (no
 // floats, no pointers, no maps with unstable order), so
@@ -23,14 +22,6 @@ namespace bb::serve {
 /// Format revision of the controller serialization; bump on any layout
 /// change so old cache entries are treated as misses, not misparsed.
 inline constexpr int kCodecVersion = 1;
-
-/// 64-bit FNV-1a over `data`.  `seed` selects independent streams (the
-/// disk cache derives a 128-bit file name from two seeds).
-std::uint64_t fnv1a64(std::string_view data,
-                      std::uint64_t seed = 0xcbf29ce484222325ull);
-
-/// 16-hex-digit rendering of a 64-bit hash.
-std::string hex64(std::uint64_t value);
 
 /// Renders `ctrl` in the versioned text format.
 std::string serialize_controller(const minimalist::SynthesizedController& ctrl);

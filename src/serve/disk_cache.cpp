@@ -14,6 +14,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/serve/codec.hpp"
 #include "src/util/failpoint.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 
@@ -61,8 +62,12 @@ bool is_orphan_tmp(const std::string& filename) {
 
 std::optional<DiskCache::ParsedEntry> DiskCache::parse_entry(
     std::string_view data) {
-  // Frame: "bbdc <version>\n<checksum>\n<access>\n<keylen>\n<key>\n<payload>".
-  std::string_view rest(data);
+  // util::frame("bbdc", version, "<access>\n<keylen>\n<key>\n<payload>").
+  // The checksum covers the access counter, the key and the payload
+  // exactly as stored, so any torn or bit-flipped byte is caught here.
+  const auto body = util::unframe("bbdc", kDiskEntryVersion, data);
+  if (!body) return std::nullopt;
+  std::string_view rest = *body;
   const auto take_line = [&rest]() -> std::optional<std::string_view> {
     const std::size_t nl = rest.find('\n');
     if (nl == std::string_view::npos) return std::nullopt;
@@ -71,16 +76,6 @@ std::optional<DiskCache::ParsedEntry> DiskCache::parse_entry(
     return line;
   };
 
-  const auto header = take_line();
-  if (!header || !util::starts_with(*header, "bbdc ")) return std::nullopt;
-  if (util::parse_ll(header->substr(5)).value_or(-1) != kDiskEntryVersion) {
-    return std::nullopt;
-  }
-  const auto checksum_line = take_line();
-  if (!checksum_line) return std::nullopt;
-  // The checksum covers the access counter, the key and the payload
-  // exactly as stored, so any torn or bit-flipped byte is caught here.
-  if (hex64(fnv1a64(rest)) != *checksum_line) return std::nullopt;
   const auto access_line = take_line();
   const auto keylen_line = take_line();
   if (!access_line || !keylen_line) return std::nullopt;
@@ -101,11 +96,10 @@ std::optional<DiskCache::ParsedEntry> DiskCache::parse_entry(
 std::string DiskCache::render_entry(const std::string& key,
                                     std::string_view payload,
                                     std::uint64_t access) {
-  std::string body = std::to_string(access) + "\n" +
-                     std::to_string(key.size()) + "\n" + key + "\n" +
-                     std::string(payload);
-  return "bbdc " + std::to_string(kDiskEntryVersion) + "\n" +
-         hex64(fnv1a64(body)) + "\n" + std::move(body);
+  const std::string body = std::to_string(access) + "\n" +
+                           std::to_string(key.size()) + "\n" + key + "\n" +
+                           std::string(payload);
+  return util::frame("bbdc", kDiskEntryVersion, body);
 }
 
 DiskCache::DiskCache(std::string root, std::uint64_t max_bytes)
@@ -135,8 +129,8 @@ std::unique_ptr<DiskCache> DiskCache::from_env() {
 std::string DiskCache::entry_path(const std::string& key) const {
   // Two independent FNV-1a streams give a 128-bit address; the embedded
   // key is still verified on load, so even a collision only costs a miss.
-  return root_ + "/" + hex64(fnv1a64(key)) +
-         hex64(fnv1a64(key, 0x9e3779b97f4a7c15ull)) + ".bbc";
+  return root_ + "/" + util::hex64(util::fnv1a64(key)) +
+         util::hex64(util::fnv1a64(key, 0x9e3779b97f4a7c15ull)) + ".bbc";
 }
 
 void DiskCache::recover() {

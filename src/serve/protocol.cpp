@@ -174,13 +174,14 @@ bool parse_request(const std::string& line, Request* request,
 }
 
 flow::FlowOptions apply_options(const RequestOptions& overrides,
-                                long long default_work_budget) {
+                                long long default_work_budget,
+                                minimalist::SynthCache* cache) {
   flow::FlowOptions options = overrides.unoptimized
                                   ? flow::FlowOptions::unoptimized()
                                   : flow::FlowOptions::optimized();
   if (overrides.max_states) options.max_states = *overrides.max_states;
   if (overrides.jobs) options.jobs = *overrides.jobs;
-  if (overrides.cache) options.cache = *overrides.cache;
+  options.cache_instance = overrides.cache.value_or(true) ? cache : nullptr;
   if (overrides.strict) options.strict = *overrides.strict;
   if (overrides.lint) options.lint = *overrides.lint;
   options.work_budget =

@@ -96,8 +96,11 @@ bool parse_request(const std::string& line, Request* request,
                    std::string* error);
 
 /// Applies a request's overrides on top of the server's base options.
+/// The flow memoizes through `cache` (the daemon's own) unless the
+/// request says "cache": false, which leaves cache_instance null.
 flow::FlowOptions apply_options(const RequestOptions& overrides,
-                                long long default_work_budget);
+                                long long default_work_budget,
+                                minimalist::SynthCache* cache);
 
 // ---- reply rendering (every function returns one line, no newline) ----
 

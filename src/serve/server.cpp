@@ -280,9 +280,8 @@ struct Server::Impl {
       }
     }
     const auto net = balsa::compile_source(source);
-    flow::FlowOptions options =
-        apply_options(req.options, this->options.default_work_budget);
-    options.cache_instance = &cache;
+    const flow::FlowOptions options = apply_options(
+        req.options, this->options.default_work_budget, &cache);
     const auto result = flow::synthesize_control(net, options);
     // Whole-request cache summary for the event log: a flow touches one
     // cache entry per controller, so "hit"/"miss" are the pure cases and
@@ -364,9 +363,8 @@ struct Server::Impl {
           "incremental builds are disabled (start bb-served with "
           "--project-dir or BB_PROJECT_DIR)");
     }
-    flow::FlowOptions fopts =
-        apply_options(req.options, options.default_work_budget);
-    fopts.cache_instance = &cache;
+    const flow::FlowOptions fopts =
+        apply_options(req.options, options.default_work_budget, &cache);
     // Builds serialize: a build is a read-modify-write of the project
     // manifest, and two concurrent builds of one project would race the
     // dirty-set computation.  One mutex across projects keeps it simple;
@@ -402,8 +400,8 @@ struct Server::Impl {
       }
     }
     const auto net = balsa::compile_source(source);
-    flow::FlowOptions options =
-        apply_options(req.options, this->options.default_work_budget);
+    flow::FlowOptions options = apply_options(
+        req.options, this->options.default_work_budget, &cache);
     options.analyze = !req.options.no_analyze;
     const flow::AnalyzeResult analyzed = flow::analyze_control(net, options);
 

@@ -17,7 +17,8 @@
 //
 // Options: --unoptimized (template baseline instead of the clustered
 // back-end), --max-states N, --jobs N (controller-synthesis worker
-// threads; 0 = auto), --no-cache (disable the synthesis cache),
+// threads; 0 = auto), --no-cache (no synthesis memo; by default the
+// run owns one cache shared by all of its units),
 // --incremental (verilog/report only: build through the persistent
 // project graph in src/incr, reusing unchanged units),
 // --project-dir DIR (the project directory for --incremental;
@@ -40,6 +41,7 @@
 #include "src/flow/flow.hpp"
 #include "src/hsnet/to_ch.hpp"
 #include "src/incr/build.hpp"
+#include "src/minimalist/cache.hpp"
 #include "src/netlist/verilog.hpp"
 #include "src/obs/session.hpp"
 #include "src/opt/cluster.hpp"
@@ -87,6 +89,7 @@ int main(int argc, char** argv) {
     project_dir = dir;
   }
   bool incremental = false;
+  bool no_cache = false;
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--unoptimized") {
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
       options.jobs = static_cast<int>(
           bb::util::parse_int("bbbc", "--jobs", argv[++i], 0, 4096));
     } else if (flag == "--no-cache") {
-      options.cache = false;
+      no_cache = true;
     } else if (flag == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (flag == "--metrics" && i + 1 < argc) {
@@ -113,6 +116,8 @@ int main(int argc, char** argv) {
   }
   bb::obs::Session session(bb::obs::env_or(trace_path, "BB_TRACE"),
                            bb::obs::env_or(metrics_path, "BB_METRICS"));
+  bb::minimalist::SynthCache cache;
+  if (!no_cache) options.cache_instance = &cache;
 
   try {
     if (command == "bench") {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/flow/faultsim.hpp"
+#include "src/minimalist/cache.hpp"
 #include "src/obs/session.hpp"
 #include "src/util/io.hpp"
 #include "src/util/strings.hpp"
@@ -82,6 +83,11 @@ int main(int argc, char** argv) {
   }
   bb::obs::Session session(bb::obs::env_or(trace_path, "BB_TRACE"),
                            bb::obs::env_or(metrics_path, "BB_METRICS"));
+
+  // The campaign re-synthesizes each design once per faulted run; its
+  // own cache keeps that to one synthesis per controller.
+  bb::minimalist::SynthCache cache;
+  options.cache_instance = &cache;
 
   try {
     const auto result =

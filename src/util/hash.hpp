@@ -1,7 +1,9 @@
 // Content-addressing hash primitives shared by every layer that derives
 // stable identifiers from bytes: the serve disk cache (entry file
 // names), the incremental build graph (unit and controller digests) and
-// the technology library fingerprint.
+// the technology library fingerprint.  Also the checksummed record
+// framing shared by disk cache entries and the incremental manifest and
+// artifacts.
 //
 // FNV-1a is not cryptographic; it is used strictly for content
 // addressing among trusted inputs, where the failure mode of a
@@ -10,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -25,5 +28,16 @@ std::string hex64(std::uint64_t value);
 
 /// hex64(fnv1a64(data)): the one-call digest used for content keys.
 std::string content_digest(std::string_view data);
+
+/// Frames `body` as a self-checking record:
+///   "<magic> <version>\n<content_digest(body)>\n<body>"
+std::string frame(std::string_view magic, int version, std::string_view body);
+
+/// Inverse of frame(): verifies the magic/version line and the checksum
+/// and returns the body (a view into `bytes`).  nullopt on any defect,
+/// with a one-line reason in `error` when non-null.
+std::optional<std::string_view> unframe(std::string_view magic, int version,
+                                        std::string_view bytes,
+                                        std::string* error = nullptr);
 
 }  // namespace bb::util

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
 #include "src/balsa/compile.hpp"
@@ -94,6 +95,17 @@ TEST(Campaign, ExplicitSeedWins) {
   flow::CampaignOptions options;
   options.seed = 99;
   EXPECT_EQ(flow::effective_seed(options), 99u);
+}
+
+TEST(Campaign, MalformedSeedEnvFallsBackToDefault) {
+  flow::CampaignOptions options;
+  for (const char* bad : {"1e6", "10x", "abc"}) {
+    setenv("BB_SEED", bad, 1);
+    EXPECT_EQ(flow::effective_seed(options), 1u) << "'" << bad << "'";
+  }
+  setenv("BB_SEED", "42", 1);
+  EXPECT_EQ(flow::effective_seed(options), 42u);
+  unsetenv("BB_SEED");
 }
 
 flow::CampaignOptions small_campaign() {

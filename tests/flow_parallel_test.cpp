@@ -21,12 +21,10 @@
 namespace bb::flow {
 namespace {
 
-FlowOptions with(int jobs, bool cache,
-                 minimalist::SynthCache* instance = nullptr) {
+FlowOptions with(int jobs, minimalist::SynthCache* cache = nullptr) {
   FlowOptions options = FlowOptions::optimized();
   options.jobs = jobs;
-  options.cache = cache;
-  options.cache_instance = instance;
+  options.cache_instance = cache;
   return options;
 }
 
@@ -44,8 +42,8 @@ class ParallelFlow : public ::testing::TestWithParam<const char*> {};
 TEST_P(ParallelFlow, MatchesSerialByteForByte) {
   const auto net = balsa::compile_source(
       designs::design(GetParam()).source);
-  const auto serial = synthesize_control(net, with(1, false));
-  const auto parallel = synthesize_control(net, with(4, false));
+  const auto serial = synthesize_control(net, with(1));
+  const auto parallel = synthesize_control(net, with(4));
   EXPECT_EQ(report(serial), report(parallel));
   EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
   ASSERT_EQ(serial.info.size(), parallel.info.size());
@@ -58,11 +56,11 @@ TEST_P(ParallelFlow, MatchesSerialByteForByte) {
 TEST_P(ParallelFlow, CachedMatchesUncachedAndWarmMatchesCold) {
   const auto net = balsa::compile_source(
       designs::design(GetParam()).source);
-  const auto uncached = synthesize_control(net, with(0, false));
+  const auto uncached = synthesize_control(net, with(0));
 
   minimalist::SynthCache cache;
-  const auto cold = synthesize_control(net, with(0, true, &cache));
-  const auto warm = synthesize_control(net, with(0, true, &cache));
+  const auto cold = synthesize_control(net, with(0, &cache));
+  const auto warm = synthesize_control(net, with(0, &cache));
 
   EXPECT_EQ(fingerprint(uncached), fingerprint(cold));
   EXPECT_EQ(fingerprint(cold), fingerprint(warm));
@@ -77,6 +75,21 @@ TEST_P(ParallelFlow, CachedMatchesUncachedAndWarmMatchesCold) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
   EXPECT_GT(stats.entries, 0u);
+}
+
+TEST_P(ParallelFlow, DefaultOptionsNeverMemoize) {
+  // The library owns no cache: without an injected instance two
+  // back-to-back flows both synthesize everything and count nothing.
+  const auto net = balsa::compile_source(
+      designs::design(GetParam()).source);
+  for (int run = 0; run < 2; ++run) {
+    const auto result = synthesize_control(net, FlowOptions::optimized());
+    EXPECT_EQ(result.timings.cache_hits, 0u) << "run " << run;
+    EXPECT_EQ(result.timings.cache_misses, 0u) << "run " << run;
+    for (const auto& c : result.timings.controllers) {
+      EXPECT_FALSE(c.cache_hit) << c.name;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, ParallelFlow,
@@ -101,7 +114,7 @@ TEST(ParallelFlowSuite, UnoptimizedFlowIsDeterministicToo) {
 
 TEST(ParallelFlowSuite, StageTimingsAreCollected) {
   const auto net = balsa::compile_source(designs::ssem().source);
-  const auto result = synthesize_control(net, with(0, false));
+  const auto result = synthesize_control(net, with(0));
   const auto& t = result.timings;
   EXPECT_GT(t.total_ms, 0.0);
   EXPECT_GT(t.controllers_wall_ms, 0.0);
@@ -126,7 +139,7 @@ TEST(ParallelFlowSuite, StageAggregatesEqualPerControllerSums) {
   // test does, so the equality is exact).  This pins the span-derived
   // timings to the same contract the pre-span StageTimings honored.
   const auto net = balsa::compile_source(designs::ssem().source);
-  const auto result = synthesize_control(net, with(0, false));
+  const auto result = synthesize_control(net, with(0));
   const auto& t = result.timings;
   double bm_compile = 0.0, minimalist = 0.0, techmap = 0.0, lint = 0.0;
   for (const auto& c : t.controllers) {
@@ -160,9 +173,34 @@ TEST(ParallelFlowSuite, StageAggregatesEqualPerControllerSums) {
 
 TEST(ParallelFlowSuite, ReportOmitsTimingsUnlessAsked) {
   const auto net = balsa::compile_source(designs::wagging_register().source);
-  const auto result = synthesize_control(net, with(0, true));
+  const auto result = synthesize_control(net, with(0));
   EXPECT_EQ(report(result).find("stage timings"), std::string::npos);
   EXPECT_NE(report(result, true).find("stage timings"), std::string::npos);
+}
+
+TEST(ParallelFlowSuite, BudgetOutcomeIgnoresEarlierRunsInTheProcess) {
+  // A cache hit costs no budgeted work, so a process-wide memo let a
+  // budget-free run rescue a later budgeted flow of the same design.
+  // With no default cache the degraded/healthy outcome is a function of
+  // the design and the budget alone.
+  const auto net = balsa::compile_source(designs::design("stack").source);
+  FlowOptions tight = FlowOptions::optimized();
+  tight.work_budget = 1;
+  tight.strict = false;
+  const auto before = synthesize_control(net, tight);
+  ASSERT_FALSE(before.failures.empty());
+
+  FlowOptions unlimited = FlowOptions::optimized();
+  unlimited.work_budget = -1;
+  const auto healthy = synthesize_control(net, unlimited);
+  EXPECT_TRUE(healthy.failures.empty());
+
+  const auto after = synthesize_control(net, tight);
+  ASSERT_EQ(after.failures.size(), before.failures.size());
+  for (std::size_t i = 0; i < before.failures.size(); ++i) {
+    EXPECT_EQ(after.failures[i].controller, before.failures[i].controller);
+  }
+  EXPECT_EQ(fingerprint(after), fingerprint(before));
 }
 
 TEST(SynthCache, RebindsNamesPositionally) {

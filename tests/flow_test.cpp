@@ -173,7 +173,6 @@ hsnet::Netlist stack_netlist() {
 
 FlowOptions budgeted(long long budget, bool strict) {
   FlowOptions options = FlowOptions::optimized();
-  options.cache = false;  // a cache hit costs no budgeted work
   options.work_budget = budget;
   options.strict = strict;
   return options;
@@ -274,6 +273,17 @@ TEST(Degradation, EffectiveWorkBudgetResolution) {
   EXPECT_EQ(effective_work_budget(options), 777u);
   unsetenv("BB_WORK_BUDGET");
   EXPECT_EQ(effective_work_budget(options), 0u);
+}
+
+TEST(Degradation, MalformedWorkBudgetEnvMeansUnlimited) {
+  // Garbage or trailing text must not prefix-parse into a tiny cap
+  // ("1e6" used to become a 1-op budget that degraded every controller).
+  FlowOptions options;
+  for (const char* bad : {"1e6", "10x", "abc", "-5", ""}) {
+    setenv("BB_WORK_BUDGET", bad, 1);
+    EXPECT_EQ(effective_work_budget(options), 0u) << "'" << bad << "'";
+  }
+  unsetenv("BB_WORK_BUDGET");
 }
 
 }  // namespace

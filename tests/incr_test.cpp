@@ -272,8 +272,9 @@ TEST(Digest, UnitDigestFoldsInOptionsAndLibrary) {
 TEST(Digest, OptionsFingerprintIgnoresByteNeutralKnobs) {
   flow::FlowOptions a = flow::FlowOptions::optimized();
   flow::FlowOptions b = a;
+  minimalist::SynthCache cache;
   b.jobs = 7;
-  b.cache = false;
+  b.cache_instance = &cache;
   EXPECT_EQ(incr::options_fingerprint(a), incr::options_fingerprint(b));
   b.max_states = a.max_states + 1;
   EXPECT_NE(incr::options_fingerprint(a), incr::options_fingerprint(b));
@@ -426,8 +427,9 @@ TEST_F(IncrTest, OptionChangesDirtyEveryUnit) {
   EXPECT_EQ(rebuilt.units_reused, 0u);
   // Byte-neutral knobs must NOT dirty the project.
   flow::FlowOptions neutral = changed;
+  minimalist::SynthCache cache;
   neutral.jobs = 3;
-  neutral.cache = false;
+  neutral.cache_instance = &cache;
   const auto warm = incr::build(kProgram, dir.str(), neutral);
   EXPECT_EQ(warm.units_reused, 2u);
 }

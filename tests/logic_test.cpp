@@ -2,11 +2,14 @@
 
 #include "src/logic/cover.hpp"
 #include "src/logic/cube.hpp"
-#include "src/logic/primes.hpp"
 #include "src/logic/ucp.hpp"
+#include "tests/reference_primes.hpp"
 
 namespace bb::logic {
 namespace {
+
+using reference::all_primes;
+using reference::consensus;
 
 TEST(Cube, ParseAndPrint) {
   const Cube c = Cube::parse("10-");

@@ -13,9 +13,9 @@
 #include "src/bm/validate.hpp"
 #include "src/ch/printer.hpp"
 #include "src/logic/cover.hpp"
-#include "src/logic/primes.hpp"
 #include "src/logic/ucp.hpp"
 #include "src/minimalist/synth.hpp"
+#include "tests/reference_primes.hpp"
 
 namespace bb {
 namespace {
@@ -54,7 +54,7 @@ TEST_P(LogicProperties, PrimesAreMaximalImplicantsAndCover) {
   std::mt19937 rng(GetParam() + 1000);
   const std::size_t n = 5;
   const auto on = random_cover(rng, n, 3);
-  const auto primes = logic::all_primes(on, logic::Cover(n));
+  const auto primes = logic::reference::all_primes(on, logic::Cover(n));
   const auto off = on.complement();
 
   logic::Cover prime_cover(n, primes);

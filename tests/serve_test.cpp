@@ -429,9 +429,11 @@ TEST(Protocol, ParsesSynthesizeRequestWithOptions) {
   EXPECT_EQ(*req.options.jobs, 2);
   ASSERT_TRUE(req.options.cache.has_value());
   EXPECT_FALSE(*req.options.cache);
-  const auto options = serve::apply_options(req.options, 0);
+  minimalist::SynthCache cache;
+  const auto options = serve::apply_options(req.options, 0, &cache);
   EXPECT_EQ(options.jobs, 2);
-  EXPECT_FALSE(options.cache);
+  EXPECT_EQ(options.cache_instance, nullptr);
+  EXPECT_EQ(serve::apply_options({}, 0, &cache).cache_instance, &cache);
   EXPECT_EQ(options.work_budget, 1000);
 }
 
