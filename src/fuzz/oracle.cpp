@@ -275,6 +275,50 @@ ch::Program make_call_member(const hsnet::Netlist& netlist,
 
 }  // namespace
 
+ClusterMembers cluster_members(const hsnet::Netlist& netlist,
+                               const std::vector<ch::Program>& originals,
+                               const opt::ClusteredProgram& cp) {
+  std::map<std::string, const ch::Program*> by_name;
+  for (const ch::Program& p : originals) by_name[p.name] = &p;
+
+  ClusterMembers out;
+  // Group T2 fragments by their originating Call: fragments of one call
+  // become a single mutually-exclusive member.
+  std::map<std::string, std::vector<int>> call_fragments;
+  for (const std::string& member : cp.members) {
+    const auto it = by_name.find(member);
+    std::string call_name;
+    int index = 0;
+    if (it != by_name.end()) {
+      out.members.push_back(it->second->body.get());
+    } else if (parse_fragment_tag(member, call_name, index)) {
+      call_fragments[call_name].push_back(index);
+    } else {
+      throw std::runtime_error("unknown cluster member " + member);
+    }
+  }
+  for (const auto& [call_name, indices] : call_fragments) {
+    out.fragments.push_back(make_call_member(netlist, call_name, indices));
+    out.members.push_back(out.fragments.back().body.get());
+  }
+  // The internalized channels: mentioned by some member but no longer
+  // visible on the clustered controller's interface.
+  std::set<std::string> member_channels;
+  for (const ch::Expr* e : out.members) {
+    for (const std::string& c : opt::channel_names(*e)) {
+      member_channels.insert(c);
+    }
+  }
+  std::set<std::string> interface;
+  for (const std::string& c : opt::channel_names(*cp.program.body)) {
+    interface.insert(c);
+  }
+  for (const std::string& c : member_channels) {
+    if (!interface.count(c)) out.hidden.push_back(c);
+  }
+  return out;
+}
+
 OracleResult conformance_check(const hsnet::Netlist& netlist, int max_states,
                                std::size_t state_limit) {
   OracleResult result;
@@ -283,9 +327,6 @@ OracleResult conformance_check(const hsnet::Netlist& netlist, int max_states,
   try {
     const std::vector<ch::Program> originals =
         hsnet::control_programs(netlist);
-    std::map<std::string, const ch::Program*> by_name;
-    for (const ch::Program& p : originals) by_name[p.name] = &p;
-
     std::vector<ch::Program> input;
     input.reserve(originals.size());
     for (const ch::Program& p : originals) input.push_back(p.clone());
@@ -296,46 +337,10 @@ OracleResult conformance_check(const hsnet::Netlist& netlist, int max_states,
 
     for (const opt::ClusteredProgram& cp : clustered) {
       if (cp.members.size() >= 2) {
-        std::vector<ch::Program> fragments;
-        std::vector<const ch::Expr*> members;
         try {
-          // Group T2 fragments by their originating Call: fragments of
-          // one call become a single mutually-exclusive member.
-          std::map<std::string, std::vector<int>> call_fragments;
-          for (const std::string& member : cp.members) {
-            const auto it = by_name.find(member);
-            std::string call_name;
-            int index = 0;
-            if (it != by_name.end()) {
-              members.push_back(it->second->body.get());
-            } else if (parse_fragment_tag(member, call_name, index)) {
-              call_fragments[call_name].push_back(index);
-            } else {
-              throw std::runtime_error("unknown cluster member " + member);
-            }
-          }
-          for (const auto& [call_name, indices] : call_fragments) {
-            fragments.push_back(make_call_member(netlist, call_name, indices));
-            members.push_back(fragments.back().body.get());
-          }
-          // The internalized channels: mentioned by some member but no
-          // longer visible on the clustered controller's interface.
-          std::set<std::string> member_channels;
-          for (const ch::Expr* e : members) {
-            for (const std::string& c : opt::channel_names(*e)) {
-              member_channels.insert(c);
-            }
-          }
-          std::set<std::string> interface;
-          for (const std::string& c : opt::channel_names(*cp.program.body)) {
-            interface.insert(c);
-          }
-          std::vector<std::string> hidden;
-          for (const std::string& c : member_channels) {
-            if (!interface.count(c)) hidden.push_back(c);
-          }
+          const ClusterMembers cm = cluster_members(netlist, originals, cp);
           const trace::VerifyResult vr = trace::verify_composition(
-              members, hidden, *cp.program.body, state_limit);
+              cm.members, cm.hidden, *cp.program.body, state_limit);
           if (!vr.equivalent) {
             result.verdict = Verdict::kDiscrepancy;
             result.controller = cp.program.name;

@@ -27,6 +27,7 @@
 
 #include "src/flow/flow.hpp"
 #include "src/hsnet/netlist.hpp"
+#include "src/opt/cluster.hpp"
 
 namespace bb::fuzz {
 
@@ -87,6 +88,21 @@ OracleResult differential_check(const hsnet::Netlist& netlist,
                                 std::uint64_t value_seed,
                                 const SimLimits& limits = {},
                                 minimalist::SynthCache* cache = nullptr);
+
+/// The member programs of one multi-member clustered controller and the
+/// channels its clustering internalized: what the conformance oracle
+/// composes and hides.  Members named in `originals` point into it; the
+/// T2 fragments absorbed from one Call are rebuilt as a single
+/// mutually-exclusive program owned by `fragments`.  Throws
+/// std::runtime_error on a member it cannot resolve.
+struct ClusterMembers {
+  std::vector<ch::Program> fragments;
+  std::vector<const ch::Expr*> members;
+  std::vector<std::string> hidden;
+};
+ClusterMembers cluster_members(const hsnet::Netlist& netlist,
+                               const std::vector<ch::Program>& originals,
+                               const opt::ClusteredProgram& cp);
 
 /// Runs the conformance oracle: re-derives the clustering for the
 /// design's control partition and checks every multi-member controller

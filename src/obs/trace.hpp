@@ -75,6 +75,7 @@ inline constexpr const char* kCatSim = "sim";
 inline constexpr const char* kCatPool = "pool";
 inline constexpr const char* kCatFault = "fault";
 inline constexpr const char* kCatIncr = "incr";
+inline constexpr const char* kCatVerify = "verify";
 
 class Tracer {
  public:

@@ -29,8 +29,6 @@ struct Lts {
   int num_states = 0;
   int initial = 0;
   std::vector<Edge> edges;
-
-  std::vector<const Edge*> edges_from(int state) const;
 };
 
 class PetriNet {
@@ -57,7 +55,10 @@ class PetriNet {
   /// given signal prefixes (hiding a channel hides all its wires).
   void hide_prefixes(const std::vector<std::string>& prefixes);
 
-  /// Exhaustive reachability (throws if the state count exceeds `limit`).
+  /// Exhaustive breadth-first reachability: state 0 is the initial
+  /// marking and states are numbered in discovery order.  Throws
+  /// std::runtime_error when the net is not 1-safe or the state count
+  /// exceeds `limit`.
   Lts reachability(std::size_t limit = 1u << 20) const;
 
   std::string to_string() const;

@@ -11,15 +11,30 @@ std::string hide_prefix(const std::string& channel) {
   return util::to_lower(channel) + "_";
 }
 
+petri::PetriNet compose_hidden(
+    const std::vector<const ch::Expr*>& members,
+    const std::vector<std::string>& hidden_channels) {
+  if (members.empty()) {
+    throw std::invalid_argument("compose_hidden: no member programs");
+  }
+  petri::PetriNet composed = petri::from_ch(*members.front());
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    composed = petri::PetriNet::compose(composed, petri::from_ch(*members[i]));
+  }
+  std::vector<std::string> prefixes;
+  prefixes.reserve(hidden_channels.size());
+  for (const std::string& channel : hidden_channels) {
+    prefixes.push_back(hide_prefix(channel));
+  }
+  composed.hide_prefixes(prefixes);
+  return composed;
+}
+
 VerifyResult verify_clustering(const ch::Expr& x, const ch::Expr& y,
                                const std::string& channel,
                                const ch::Expr& clustered) {
-  petri::PetriNet nx = petri::from_ch(x);
-  petri::PetriNet ny = petri::from_ch(y);
-  petri::PetriNet composed = petri::PetriNet::compose(nx, ny);
-  composed.hide_prefixes({hide_prefix(channel)});
-
-  const Dfa lhs = determinize(composed.reachability());
+  const Dfa lhs =
+      determinize(compose_hidden({&x, &y}, {channel}).reachability());
   const Dfa rhs = determinize(petri::from_ch(clustered).reachability());
 
   VerifyResult result;
@@ -37,21 +52,8 @@ VerifyResult verify_composition(const std::vector<const ch::Expr*>& members,
                                 const std::vector<std::string>& hidden_channels,
                                 const ch::Expr& clustered,
                                 std::size_t state_limit) {
-  if (members.empty()) {
-    throw std::invalid_argument("verify_composition: no member programs");
-  }
-  petri::PetriNet composed = petri::from_ch(*members.front());
-  for (std::size_t i = 1; i < members.size(); ++i) {
-    composed = petri::PetriNet::compose(composed, petri::from_ch(*members[i]));
-  }
-  std::vector<std::string> prefixes;
-  prefixes.reserve(hidden_channels.size());
-  for (const std::string& channel : hidden_channels) {
-    prefixes.push_back(hide_prefix(channel));
-  }
-  composed.hide_prefixes(prefixes);
-
-  const Dfa lhs = determinize(composed.reachability(state_limit));
+  const Dfa lhs = determinize(
+      compose_hidden(members, hidden_channels).reachability(state_limit));
   const Dfa rhs = determinize(petri::from_ch(clustered).reachability(state_limit));
 
   VerifyResult result;

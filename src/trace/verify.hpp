@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "src/ch/ast.hpp"
 #include "src/trace/automaton.hpp"
@@ -22,6 +23,14 @@ struct VerifyResult {
 
 /// The wire-name prefix hidden when channel `channel` is eliminated.
 std::string hide_prefix(const std::string& channel);
+
+/// compose(members...) with every wire of `hidden_channels` relabelled
+/// tau: the specification side of verify_clustering and
+/// verify_composition.  Throws std::invalid_argument when `members` is
+/// empty.
+petri::PetriNet compose_hidden(
+    const std::vector<const ch::Expr*>& members,
+    const std::vector<std::string>& hidden_channels);
 
 /// Checks that `clustered` conforms to (compose(x, y) hide channel).
 VerifyResult verify_clustering(const ch::Expr& x, const ch::Expr& y,

@@ -56,6 +56,44 @@ TEST(PetriNet, NotOneSafeDetected) {
   EXPECT_THROW(net.reachability(), std::runtime_error);
 }
 
+TEST(PetriNet, PostPlaceListedTwiceIsNotOneSafe) {
+  PetriNet net;
+  const int p0 = net.add_place(true);
+  const int p1 = net.add_place();
+  net.add_transition(Transition{"a+", {p0}, {p1, p1}});
+  try {
+    (void)net.reachability();
+    FAIL() << "expected a 1-safety violation";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "PetriNet::reachability: net is not 1-safe");
+  }
+}
+
+TEST(PetriNet, StateLimitIsInclusive) {
+  // A chain of 5 places reaches exactly 5 markings.
+  PetriNet net;
+  int prev = net.add_place(true);
+  for (int i = 0; i < 4; ++i) {
+    const int next = net.add_place();
+    net.add_transition(Transition{"t" + std::to_string(i), {prev}, {next}});
+    prev = next;
+  }
+  EXPECT_EQ(net.reachability(5).num_states, 5);
+  try {
+    (void)net.reachability(4);
+    FAIL() << "expected the state limit to trip";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "PetriNet::reachability: state limit exceeded");
+  }
+}
+
+TEST(PetriNet, UnknownPlaceIsRejected) {
+  PetriNet net;
+  const int p0 = net.add_place(true);
+  net.add_transition(Transition{"a+", {p0}, {7}});
+  EXPECT_THROW(net.reachability(), std::out_of_range);
+}
+
 TEST(PetriNet, ComposeSynchronizesSharedLabels) {
   // Net A: x+ then c+.  Net B: c+ then y+.  Composed: x+ c+ y+ only.
   PetriNet a;

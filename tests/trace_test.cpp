@@ -24,6 +24,47 @@ TEST(Dfa, DeterminizeCollapsesTau) {
   EXPECT_TRUE(dfa.delta.count({0, "a+"}));
 }
 
+TEST(Dfa, DeterminizeAcceptsStatesPastNumStates) {
+  // Hand-built: num_states undercounts the ids the edges name.
+  petri::Lts lts;
+  lts.num_states = 1;
+  lts.edges = {{0, 3, "a+"}, {3, 5, ""}, {5, 0, "b+"}, {3, 4, "b+"}};
+  const Dfa dfa = determinize(lts);
+  EXPECT_EQ(dfa.num_states, 3);
+  EXPECT_EQ(dfa.initial, 0);
+  const std::map<std::pair<int, std::string>, int> want = {
+      {{0, "a+"}, 1}, {{1, "b+"}, 2}, {{2, "a+"}, 1}};
+  EXPECT_EQ(dfa.delta, want);
+}
+
+TEST(Dfa, DeterminizeMergesConvergingEdges) {
+  // {1,2} and {4} both move to {3} on b+: one DFA state, however many
+  // edges of the subset lead there.
+  petri::Lts lts;
+  lts.num_states = 5;
+  lts.edges = {{0, 1, "a+"}, {0, 2, "a+"}, {1, 3, "b+"},
+               {2, 3, "b+"}, {0, 4, "c+"}, {4, 3, "b+"}};
+  const Dfa dfa = determinize(lts);
+  EXPECT_EQ(dfa.num_states, 4);
+  EXPECT_EQ(dfa.delta.at({1, "b+"}), dfa.delta.at({2, "b+"}));
+}
+
+TEST(Dfa, DeterminizeRejectsNegativeStateIds) {
+  petri::Lts lts;
+  lts.num_states = 2;
+  lts.edges = {{0, -1, "a+"}};
+  EXPECT_THROW(determinize(lts), std::invalid_argument);
+}
+
+TEST(Dfa, LabelsFromListsOneStateInOrder) {
+  Dfa dfa;
+  dfa.num_states = 3;
+  dfa.delta = {{{0, "z+"}, 1}, {{1, "b+"}, 2}, {{1, "a-"}, 0}, {{2, ""}, 2}};
+  EXPECT_EQ(dfa.labels_from(1), (std::vector<std::string>{"a-", "b+"}));
+  EXPECT_EQ(dfa.labels_from(2), (std::vector<std::string>{""}));
+  EXPECT_TRUE(dfa.labels_from(3).empty());
+}
+
 TEST(Dfa, LanguageContainment) {
   petri::Lts big;
   big.num_states = 3;
