@@ -8,6 +8,7 @@
 #include "src/flow/system.hpp"
 #include "src/flow/testbench.hpp"
 #include "src/hsnet/to_ch.hpp"
+#include "src/obs/trace.hpp"
 #include "src/opt/ch_util.hpp"
 #include "src/opt/cluster.hpp"
 #include "src/petri/from_ch.hpp"
@@ -332,8 +333,10 @@ OracleResult conformance_check(const hsnet::Netlist& netlist, int max_states,
     for (const ch::Program& p : originals) input.push_back(p.clone());
     opt::ClusterOptions cluster_options;
     cluster_options.max_states = max_states;
+    obs::Span cluster_span("fuzz.cluster", obs::kCatVerify);
     const std::vector<opt::ClusteredProgram> clustered =
         opt::optimize(std::move(input), cluster_options);
+    cluster_span.finish();
 
     for (const opt::ClusteredProgram& cp : clustered) {
       if (cp.members.size() >= 2) {

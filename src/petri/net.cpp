@@ -1,6 +1,5 @@
 #include "src/petri/net.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -22,77 +21,12 @@ int PetriNet::add_transition(Transition t) {
   return static_cast<int>(transitions_.size()) - 1;
 }
 
-PetriNet PetriNet::compose(const PetriNet& a, const PetriNet& b) {
-  PetriNet out;
-  out.initial_marking_ = a.initial_marking_;
-  const int offset = a.num_places();
-  out.initial_marking_.insert(out.initial_marking_.end(),
-                              b.initial_marking_.begin(),
-                              b.initial_marking_.end());
-
-  const auto shift = [offset](std::vector<int> places) {
-    for (int& p : places) p += offset;
-    return places;
-  };
-
-  std::set<std::string> shared;
-  {
-    const auto alpha_a = a.alphabet();
-    const auto alpha_b = b.alphabet();
-    std::set_intersection(alpha_a.begin(), alpha_a.end(), alpha_b.begin(),
-                          alpha_b.end(),
-                          std::inserter(shared, shared.begin()));
-  }
-
-  for (const Transition& t : a.transitions_) {
-    if (t.label.empty() || !shared.count(t.label)) {
-      out.transitions_.push_back(t);
-    }
-  }
-  for (const Transition& t : b.transitions_) {
-    if (t.label.empty() || !shared.count(t.label)) {
-      Transition copy = t;
-      copy.pre = shift(copy.pre);
-      copy.post = shift(copy.post);
-      out.transitions_.push_back(std::move(copy));
-    }
-  }
-  // Fuse every pair of same-labelled shared transitions.
-  for (const Transition& ta : a.transitions_) {
-    if (ta.label.empty() || !shared.count(ta.label)) continue;
-    for (const Transition& tb : b.transitions_) {
-      if (tb.label != ta.label) continue;
-      Transition fused;
-      fused.label = ta.label;
-      fused.pre = ta.pre;
-      fused.post = ta.post;
-      const auto bp = shift(tb.pre);
-      const auto bq = shift(tb.post);
-      fused.pre.insert(fused.pre.end(), bp.begin(), bp.end());
-      fused.post.insert(fused.post.end(), bq.begin(), bq.end());
-      out.transitions_.push_back(std::move(fused));
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> PetriNet::alphabet() const {
   std::set<std::string> labels;
   for (const Transition& t : transitions_) {
     if (!t.label.empty()) labels.insert(t.label);
   }
   return {labels.begin(), labels.end()};
-}
-
-void PetriNet::hide_prefixes(const std::vector<std::string>& prefixes) {
-  for (Transition& t : transitions_) {
-    for (const std::string& p : prefixes) {
-      if (t.label.rfind(p, 0) == 0) {
-        t.label.clear();
-        break;
-      }
-    }
-  }
 }
 
 Lts PetriNet::reachability(std::size_t limit) const {

@@ -43,17 +43,8 @@ class PetriNet {
   const std::vector<Transition>& transitions() const { return transitions_; }
   const std::vector<bool>& initial_marking() const { return initial_marking_; }
 
-  /// Parallel composition by transition fusion: transitions with equal
-  /// (non-tau) labels in the two nets synchronize; others interleave.
-  /// Places are disjoint-unioned.
-  static PetriNet compose(const PetriNet& a, const PetriNet& b);
-
   /// All labels appearing in the net (excluding tau).
   std::vector<std::string> alphabet() const;
-
-  /// Relabels to tau every transition whose label starts with any of the
-  /// given signal prefixes (hiding a channel hides all its wires).
-  void hide_prefixes(const std::vector<std::string>& prefixes);
 
   /// Exhaustive breadth-first reachability: state 0 is the initial
   /// marking and states are numbered in discovery order.  Throws

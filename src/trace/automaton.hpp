@@ -30,6 +30,12 @@ struct Dfa {
 /// Subset construction with tau-closure over an LTS.
 Dfa determinize(const petri::Lts& lts);
 
+/// The minimal DFA of the same language, its states numbered
+/// breadth-first from the initial state with labels taken in
+/// lexicographic order: language-equal DFAs minimize to equal values.
+/// Unreachable states are dropped.
+Dfa minimize(const Dfa& dfa);
+
 /// True if every trace of `b` is a trace of `a` (L(b) subset of L(a)).
 /// This is the safety half of trace-theory conformance.
 bool language_contains(const Dfa& a, const Dfa& b);

@@ -1,12 +1,19 @@
-// Differential test of the trace engine: PetriNet::reachability (packed
-// markings) and trace::determinize (adjacency-list subset construction)
-// against the reference kernels in tests/reference_trace.hpp.  Both must
-// produce the same LTS (state count, initial state, edges in order) and
-// the same DFA (state count, initial state, transition map), and throw
-// the same messages, on every CH program, clustered controller and BM
+// Differential test of the trace engine against tests/reference_trace.hpp.
+//
+// Kernels: PetriNet::reachability (packed markings) and
+// trace::determinize (adjacency-list subset construction) must produce
+// the same LTS (state count, initial state, edges in order) and the same
+// DFA (state count, initial state, transition map), and throw the same
+// messages, on every CH program, clustered controller and BM
 // specification of the paper designs and the examples, on the
 // composed-and-hidden member nets of the fuzz corpus, and on seeded
 // random nets and LTSs.
+//
+// Conformance: the compositional trace::verify_composition must reach
+// the whole-net reference's verdict and counterexample, and
+// trace::composition_dfa must be the minimized reference DFA, on every
+// multi-member cluster of those designs and on seeded member chains with
+// planted faults.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,6 +27,8 @@
 #include "src/balsa/compile.hpp"
 #include "src/balsa/parser.hpp"
 #include "src/bm/compile.hpp"
+#include "src/ch/parser.hpp"
+#include "src/ch/printer.hpp"
 #include "src/designs/designs.hpp"
 #include "src/fuzz/gen.hpp"
 #include "src/fuzz/oracle.hpp"
@@ -48,6 +57,9 @@ struct Tally {
   int limit_throws = 0;  ///< nets both versions rejected at the limit
   int unsafe_throws = 0; ///< nets both versions rejected as not 1-safe
   int max_states = 0;    ///< largest LTS compared
+  int verdicts = 0;        ///< conformance verdicts compared
+  int counterexamples = 0; ///< of them, refusals with a counterexample
+  int limit_reruns = 0;    ///< reference re-run past the oracle's limit
 };
 
 ::testing::AssertionResult same_lts(const petri::Lts& got,
@@ -137,6 +149,58 @@ void check_program(const ch::Program& program, Tally& tally) {
   }
 }
 
+/// Compares trace::verify_composition at the oracle's limit with the
+/// whole-net reference.  Where the reference blows that limit it is
+/// re-run at 1 << 20, and the compositional engine must still decide.
+/// Where the reference throws for another reason (a net that is not
+/// 1-safe) the engine must throw too.
+void check_verdict(const std::vector<const ch::Expr*>& members,
+                   const std::vector<std::string>& hidden,
+                   const ch::Expr& clustered, Tally& tally) {
+  std::size_t limit = kStateLimit;
+  std::optional<VerifyResult> want, got;
+  std::string want_error, got_error;
+  try {
+    want = reference::verify_composition(members, hidden, clustered, limit);
+  } catch (const std::exception& e) {
+    want_error = e.what();
+  }
+  if (want_error.find("state limit") != std::string::npos) {
+    ++tally.limit_reruns;
+    limit = 1u << 20;
+    want_error.clear();
+    try {
+      want = reference::verify_composition(members, hidden, clustered, limit);
+    } catch (const std::exception& e) {
+      want_error = e.what();
+    }
+  }
+  try {
+    got = verify_composition(members, hidden, clustered, kStateLimit);
+  } catch (const std::exception& e) {
+    got_error = e.what();
+  }
+  if (!want) {
+    EXPECT_FALSE(got.has_value()) << "reference threw: " << want_error;
+    return;
+  }
+  ASSERT_TRUE(got.has_value()) << "reference decided, engine threw: "
+                               << got_error;
+  ++tally.verdicts;
+  if (!want->counterexample.empty()) ++tally.counterexamples;
+  EXPECT_EQ(got->equivalent, want->equivalent);
+  EXPECT_EQ(got->counterexample, want->counterexample);
+  // Both sides are canonical minimal DFAs of the reference's languages.
+  EXPECT_TRUE(same_dfa(
+      composition_dfa(members, hidden, kStateLimit),
+      minimize(determinize(
+          reference::compose_hidden(members, hidden).reachability(limit)))));
+  EXPECT_EQ(got->clustered_states,
+            minimize(determinize(
+                         petri::from_ch(clustered).reachability(limit)))
+                .num_states);
+}
+
 /// Every control program of `net`, every controller the clustering makes
 /// of them, and the composed-and-hidden members of every multi-member
 /// cluster — the nets the conformance oracle explores.
@@ -155,7 +219,8 @@ void check_netlist(const hsnet::Netlist& net, Tally& tally) {
     if (cp.members.size() < 2) continue;
     SCOPED_TRACE("members of " + cp.program.name);
     const fuzz::ClusterMembers cm = fuzz::cluster_members(net, originals, cp);
-    check_net(compose_hidden(cm.members, cm.hidden), tally);
+    check_net(reference::compose_hidden(cm.members, cm.hidden), tally);
+    check_verdict(cm.members, cm.hidden, *cp.program.body, tally);
   }
 }
 
@@ -167,6 +232,7 @@ TEST_P(PaperDesignTraces, MatchTheReference) {
                 tally);
   EXPECT_GT(tally.nets, 0);
   EXPECT_GT(tally.ltss, tally.nets);
+  EXPECT_GT(tally.verdicts, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, PaperDesignTraces,
@@ -192,6 +258,7 @@ TEST(TraceReference, ExampleTracesMatchTheReference) {
     }
   }
   EXPECT_GT(tally.nets, 0);
+  EXPECT_GT(tally.verdicts, 0);
 }
 
 /// Case i of the fuzz campaign's corpus in `mode` at generator seed 1,
@@ -225,12 +292,113 @@ TEST_P(FuzzCorpusTraces, MatchTheReference) {
     // (15 488 states) and one that blows the state limit.
     EXPECT_GT(tally.max_states, 15000);
     EXPECT_GE(tally.limit_throws, 1);
+    EXPECT_GE(tally.limit_reruns, 1);
   }
+  EXPECT_GT(tally.verdicts, 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedOne, FuzzCorpusTraces,
                          ::testing::Values("balsa", "netlist"),
                          [](const auto& info) { return info.param; });
+
+// ---------- seeded member chains with planted faults ----------
+
+/// `count` controllers: the first is activated on go, controller i > 0 on
+/// c<i>; each activates the next and up to two outputs d<i><j>, joined
+/// by random operators.
+std::vector<ch::Program> random_chain(std::mt19937& rng, int count) {
+  const auto pick = [&](const std::vector<std::string>& options) {
+    return options[std::uniform_int_distribution<std::size_t>(
+        0, options.size() - 1)(rng)];
+  };
+  std::vector<ch::Program> chain;
+  for (int i = 0; i < count; ++i) {
+    std::vector<std::string> pieces;
+    if (i + 1 < count) {
+      pieces.push_back("(p-to-p active c" + std::to_string(i + 1) + ")");
+    }
+    const int outputs = std::uniform_int_distribution<int>(
+        pieces.empty() ? 1 : 0, 2)(rng);
+    for (int j = 0; j < outputs; ++j) {
+      pieces.push_back("(p-to-p active d" + std::to_string(i) +
+                       std::to_string(j) + ")");
+    }
+    std::shuffle(pieces.begin(), pieces.end(), rng);
+    std::string body = pieces.back();
+    for (std::size_t k = pieces.size() - 1; k-- > 0;) {
+      body = "(" + pick({"seq", "seq-ov", "enc-early", "enc-middle"}) + " " +
+             pieces[k] + " " + body + ")";
+    }
+    const std::string source =
+        i == 0 ? "(rep (enc-early (p-to-p passive go) " + body + "))"
+               : "(rep (" + pick({"enc-early", "enc-middle", "enc-late"}) +
+                     " (p-to-p passive c" + std::to_string(i) + ") " + body +
+                     "))";
+    chain.emplace_back("M" + std::to_string(i), ch::parse(source));
+  }
+  return chain;
+}
+
+/// `text` with its first occurrence of `from` replaced, or "" when
+/// `from` does not occur.
+std::string replace_first(const std::string& text, const std::string& from,
+                          const std::string& to) {
+  const std::size_t at = text.find(from);
+  if (at == std::string::npos) return "";
+  return text.substr(0, at) + to + text.substr(at + from.size());
+}
+
+TEST(TraceReference, PlantedFaultChainsMatchTheReference) {
+  std::mt19937 rng(1016);
+  Tally tally;
+  int clustered = 0;
+  for (int i = 0; i < 120; ++i) {
+    SCOPED_TRACE("chain " + std::to_string(i));
+    const std::vector<ch::Program> chain =
+        random_chain(rng, std::uniform_int_distribution<int>(2, 4)(rng));
+    std::vector<const ch::Expr*> members;
+    std::vector<std::string> hidden;
+    std::optional<ch::Program> merged = chain.front().clone();
+    for (std::size_t k = 0; k < chain.size(); ++k) {
+      members.push_back(chain[k].body.get());
+      if (k == 0) continue;
+      hidden.push_back("c" + std::to_string(k));
+      if (merged) {
+        merged = opt::activation_channel_removal(*merged, chain[k],
+                                                 hidden.back());
+      }
+    }
+    if (!merged) continue;
+    ++clustered;
+    // The clustered controller, then three faults planted in it: a fork
+    // serialized, an output handshake doubled, an output's ack dropped.
+    const std::string text = ch::to_string(*merged->body);
+    const std::size_t d = text.find("(p-to-p active d");
+    const std::string output =
+        d == std::string::npos ? "" : text.substr(d, text.find(')', d) - d + 1);
+    const std::string wire = output.empty()
+                                 ? ""
+                                 : output.substr(15, output.size() - 16);
+    for (const std::string& variant :
+         {text, replace_first(text, "(enc-middle", "(seq"),
+          output.empty() ? ""
+                         : replace_first(text, output,
+                                         "(seq " + output + " " + output + ")"),
+          output.empty()
+              ? ""
+              : replace_first(text, output,
+                              "(verb ((o " + wire + "_r +)) () ((o " + wire +
+                                  "_r -)) ())")}) {
+      if (variant.empty()) continue;
+      SCOPED_TRACE(variant);
+      check_verdict(members, hidden, *ch::parse(variant), tally);
+    }
+  }
+  EXPECT_GT(clustered, 60);
+  EXPECT_GT(tally.verdicts, 200);
+  EXPECT_GT(tally.counterexamples, 100);
+  EXPECT_GT(tally.verdicts - tally.counterexamples, 60);
+}
 
 // ---------- seeded random nets and LTSs ----------
 

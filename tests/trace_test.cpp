@@ -3,6 +3,8 @@
 // the legal operator combinations as in the paper's experiment.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "src/ch/parser.hpp"
 #include "src/ch/printer.hpp"
 #include "src/opt/cluster.hpp"
@@ -11,6 +13,7 @@
 #include "src/trace/automaton.hpp"
 #include "src/trace/spec_lts.hpp"
 #include "src/trace/verify.hpp"
+#include "tests/reference_trace.hpp"
 
 namespace bb::trace {
 namespace {
@@ -92,6 +95,113 @@ TEST(Dfa, CounterexampleIsMinimal) {
   EXPECT_EQ(cex, (std::vector<std::string>{"x+", "y+"}));
 }
 
+// ---- minimize ----
+
+TEST(Minimize, LanguageEqualDfasMinimizeIdentically) {
+  // (a+ b+)* unrolled twice with states numbered backwards, and the
+  // two-state loop: one minimal DFA, numbered from the initial state.
+  Dfa unrolled;
+  unrolled.num_states = 5;
+  unrolled.initial = 4;
+  unrolled.delta = {{{4, "a+"}, 3}, {{3, "b+"}, 2}, {{2, "a+"}, 1},
+                    {{1, "b+"}, 4}, {{0, "a+"}, 0}};  // state 0 unreachable
+  Dfa loop;
+  loop.num_states = 2;
+  loop.delta = {{{0, "a+"}, 1}, {{1, "b+"}, 0}};
+  const Dfa want = minimize(loop);
+  EXPECT_EQ(want.num_states, 2);
+  EXPECT_EQ(want.initial, 0);
+  EXPECT_EQ(want.delta, loop.delta);
+  const Dfa got = minimize(unrolled);
+  EXPECT_EQ(got.num_states, want.num_states);
+  EXPECT_EQ(got.initial, want.initial);
+  EXPECT_EQ(got.delta, want.delta);
+}
+
+TEST(Minimize, NumbersBlocksBreadthFirstInLabelOrder) {
+  // The initial state's successors are numbered in label order, not in
+  // the order of the input's state ids.
+  Dfa dfa;
+  dfa.num_states = 3;
+  dfa.delta = {{{0, "a+"}, 2}, {{0, "b+"}, 1}, {{1, "x+"}, 1}};
+  const Dfa min = minimize(dfa);
+  const std::map<std::pair<int, std::string>, int> want = {
+      {{0, "a+"}, 1}, {{0, "b+"}, 2}, {{2, "x+"}, 2}};
+  EXPECT_EQ(min.num_states, 3);
+  EXPECT_EQ(min.delta, want);
+}
+
+/// A DFA of `n` states over labels l0..l3 with random partial moves.
+Dfa random_dfa(std::mt19937& rng, int n) {
+  Dfa dfa;
+  dfa.num_states = n;
+  dfa.initial = std::uniform_int_distribution<int>(0, n - 1)(rng);
+  std::uniform_int_distribution<int> state(0, n - 1);
+  for (int s = 0; s < n; ++s) {
+    for (int l = 0; l < 4; ++l) {
+      // Few targets, so many states share a language.
+      if (rng() % 3 != 0) {
+        dfa.delta[{s, "l" + std::to_string(l)}] = state(rng) % (n / 2 + 1);
+      }
+    }
+  }
+  return dfa;
+}
+
+/// True when states p and q of `dfa` accept the same words: every pair
+/// reachable by a common word enables the same labels.
+bool brute_force_equivalent(const Dfa& dfa, int p, int q) {
+  std::set<std::pair<int, int>> seen{{p, q}};
+  std::vector<std::pair<int, int>> stack{{p, q}};
+  while (!stack.empty()) {
+    const auto [a, b] = stack.back();
+    stack.pop_back();
+    const std::vector<std::string> labels = dfa.labels_from(a);
+    if (labels != dfa.labels_from(b)) return false;
+    for (const std::string& l : labels) {
+      const std::pair<int, int> next{dfa.delta.at({a, l}),
+                                     dfa.delta.at({b, l})};
+      if (seen.insert(next).second) stack.push_back(next);
+    }
+  }
+  return true;
+}
+
+TEST(Minimize, RandomDfasMatchBruteForceEquivalence) {
+  std::mt19937 rng(43);
+  for (int i = 0; i < 200; ++i) {
+    SCOPED_TRACE("dfa " + std::to_string(i));
+    const Dfa dfa =
+        random_dfa(rng, std::uniform_int_distribution<int>(1, 24)(rng));
+    // Count the equivalence classes of the reachable states.
+    std::set<int> reachable{dfa.initial};
+    std::vector<int> stack{dfa.initial};
+    while (!stack.empty()) {
+      const int s = stack.back();
+      stack.pop_back();
+      for (const std::string& l : dfa.labels_from(s)) {
+        const int t = dfa.delta.at({s, l});
+        if (reachable.insert(t).second) stack.push_back(t);
+      }
+    }
+    std::vector<int> classes;  // one representative per class
+    for (const int s : reachable) {
+      if (std::none_of(classes.begin(), classes.end(), [&](int r) {
+            return brute_force_equivalent(dfa, r, s);
+          })) {
+        classes.push_back(s);
+      }
+    }
+    const Dfa min = minimize(dfa);
+    EXPECT_EQ(min.num_states, static_cast<int>(classes.size()));
+    EXPECT_TRUE(language_equivalent(min, dfa));
+    const Dfa again = minimize(min);
+    EXPECT_EQ(again.num_states, min.num_states);
+    EXPECT_EQ(again.initial, min.initial);
+    EXPECT_EQ(again.delta, min.delta);
+  }
+}
+
 // ---- Section 4.3 sweep ----
 //
 // Activating program:  (rep (OP1 (p-to-p <act1> p) (p-to-p active c)))
@@ -127,6 +237,8 @@ TEST_P(Section43Sweep, ClusteredConformsToComposition) {
   ASSERT_TRUE(merged.has_value()) << x_src << " / " << y_src;
 
   const auto result = verify_clustering(*x, *y, "c", *merged->body);
+  // Equal languages have isomorphic minimal DFAs (Myhill-Nerode).
+  EXPECT_EQ(result.composed_states, result.clustered_states);
   EXPECT_TRUE(result.equivalent)
       << x_src << " / " << y_src << "\nclustered: "
       << ch::to_string(*merged->body) << "\ncounterexample: "
@@ -208,7 +320,18 @@ TEST(Verify, DetectsBrokenClustering) {
 }
 
 TEST(Verify, HidePrefix) {
-  EXPECT_EQ(hide_prefix("O2"), "o2_");
+  EXPECT_EQ(reference::hide_prefix("O2"), "o2_");
+}
+
+TEST(Verify, ChannelWiresAreExactSignals) {
+  EXPECT_TRUE(is_channel_wire("o2_r+", "O2"));
+  EXPECT_TRUE(is_channel_wire("c_a-", "c"));
+  EXPECT_TRUE(is_channel_wire("c_a12+", "c"));  // mult-ack wire index
+  EXPECT_FALSE(is_channel_wire("c_x_r+", "c"));
+  EXPECT_FALSE(is_channel_wire("cc_r+", "c"));
+  EXPECT_FALSE(is_channel_wire("c_rx+", "c"));
+  EXPECT_FALSE(is_channel_wire("c_r", "c"));
+  EXPECT_FALSE(is_channel_wire("c_d+", "c"));
 }
 
 // ---- verify_composition (multi-member conformance, fuzz oracle) ----
@@ -267,6 +390,56 @@ TEST(VerifyComposition, DoubledHandshakeIsRefusedAfterOneCycle) {
   EXPECT_EQ(result.counterexample,
             (std::vector<std::string>{"go_r+", "d_r+", "d_a+", "d_r-", "d_a-",
                                       "d_r+"}));
+}
+
+TEST(VerifyComposition, HidingKeepsPrefixSiblingVisible) {
+  // Hiding c must not hide c_x, a different channel whose wires start
+  // with "c_".  Prefix hiding did, and refused the correct controller.
+  const auto x =
+      ch::parse("(rep (enc-early (p-to-p passive go) (p-to-p active c)))");
+  const auto y =
+      ch::parse("(rep (enc-early (p-to-p passive c) (p-to-p active c_x)))");
+  const auto clustered = ch::parse(
+      "(rep (enc-early (p-to-p passive go)"
+      "  (enc-early void (p-to-p active c_x))))");
+  const auto result =
+      verify_composition({x.get(), y.get()}, {"c"}, *clustered);
+  EXPECT_TRUE(result.equivalent);
+  EXPECT_TRUE(result.counterexample.empty());
+  EXPECT_EQ(
+      reference::verify_composition({x.get(), y.get()}, {"c"}, *clustered)
+          .counterexample,
+      (std::vector<std::string>{"go_r+", "c_x_r+"}));
+}
+
+TEST(VerifyComposition, ChannelIsHiddenOnlyAfterItsLastMember) {
+  // c links the first and third members; hiding it after the second
+  // would let the third member's c handshake run unsynchronized.
+  const auto x = ch::parse(
+      "(rep (enc-early (p-to-p passive go)"
+      "  (seq (p-to-p active c) (p-to-p active e))))");
+  const auto y =
+      ch::parse("(rep (enc-early (p-to-p passive e) (p-to-p active d)))");
+  const auto z =
+      ch::parse("(rep (enc-early (p-to-p passive c) (p-to-p active f)))");
+  const auto clustered = ch::parse(
+      "(rep (enc-early (p-to-p passive go)"
+      "  (seq (p-to-p active f) (p-to-p active d))))");
+  const auto result = verify_composition({x.get(), y.get(), z.get()},
+                                         {"c", "e"}, *clustered);
+  EXPECT_TRUE(result.equivalent);
+  const auto swapped = ch::parse(
+      "(rep (enc-early (p-to-p passive go)"
+      "  (seq (p-to-p active d) (p-to-p active f))))");
+  EXPECT_EQ(verify_composition({x.get(), y.get(), z.get()}, {"c", "e"},
+                               *swapped)
+                .counterexample,
+            (std::vector<std::string>{"go_r+", "d_r+"}));
+}
+
+TEST(VerifyComposition, NoMembersIsRejected) {
+  const auto clustered = ch::parse("(rep (p-to-p passive go))");
+  EXPECT_THROW(verify_composition({}, {}, *clustered), std::invalid_argument);
 }
 
 TEST(VerifyComposition, StateLimitThrowsInsteadOfDeciding) {
