@@ -127,7 +127,8 @@ struct StageTimings {
 
   /// Human-readable block, one line per stage then per controller.
   std::string to_text() const;
-  /// Stable machine-readable rendering for bench_flowperf artifacts.
+  /// Stable machine-readable rendering, embedded in the serve replies
+  /// and incremental build results.
   std::string to_json() const;
 };
 

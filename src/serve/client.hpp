@@ -1,7 +1,7 @@
 // Minimal blocking client for the bb-served wire protocol: one
-// connection, newline-delimited request/reply lines.  Used by bb-client
-// and the bench_serve load generator; each instance is single-threaded,
-// open one Client per concurrent connection.
+// connection, newline-delimited request/reply lines.  Used by bb-client,
+// bb-top, the chaos harness and the serve_mixed perfbench workload; each
+// instance is single-threaded, open one Client per concurrent connection.
 #pragma once
 
 #include <cstdint>

@@ -28,6 +28,9 @@
 //   --json FILE         write the campaign JSON artifact (atomic)
 //   --repro-dir DIR     write minimized reproducers here
 //
+// BB_TRACE / BB_METRICS, when set, name a Chrome trace-event JSON and a
+// metrics snapshot to write for the run.
+//
 // Exit status: 0 all cases clean, 1 discrepancy found (or internal
 // error), 2 usage.
 #include <cstdlib>
@@ -37,6 +40,7 @@
 
 #include "src/fuzz/campaign.hpp"
 #include "src/fuzz/proto.hpp"
+#include "src/obs/session.hpp"
 #include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 
@@ -99,6 +103,8 @@ int main(int argc, char** argv) {
       usage();
     }
   }
+  bb::obs::Session session(bb::obs::env_or("", "BB_TRACE"),
+                           bb::obs::env_or("", "BB_METRICS"));
 
   try {
     if (proto_mode) {

@@ -2,7 +2,7 @@
 //
 // The standard library generators are implementation-defined across
 // platforms; fault plans must be byte-identical for one seed everywhere
-// (the bench_faults JSON is diffed across CI runs), so we pin the exact
+// (the bb-faultsim JSON is diffed across CI runs), so we pin the exact
 // algorithm here.  SplitMix64 is Steele/Lea/Flood's 64-bit mixer: tiny,
 // full-period, and well distributed for this use.
 #pragma once

@@ -2,7 +2,7 @@
 // once / every / short / p), hit and trigger accounting, and the
 // integration with util::write_file_atomic whose crash windows the
 // chaos harness leans on.  Crash actions are exercised end to end by
-// bench/bench_chaos.cpp (they _exit the process, so a unit test cannot
+// bb-chaos (they _exit the process, so a unit test cannot
 // observe them from the inside).
 #include <gtest/gtest.h>
 

@@ -600,6 +600,9 @@ TEST(Server, AnswersOverSocketAndPersistsAcrossRestarts) {
   options.socket_path = socket_path;
   options.jobs = 2;
   options.cache_dir = (dir.path / "cache").string();
+  const std::string systolic_request =
+      R"({"schema_version":1,"op":"synthesize","design":"systolic"})";
+  std::string cold_report;
   {
     RunningServer running(options);
     serve::Client client(socket_path);
@@ -629,6 +632,13 @@ TEST(Server, AnswersOverSocketAndPersistsAcrossRestarts) {
     EXPECT_EQ(doc->get_string("status"), "error");
     ASSERT_NE(doc->get("error"), nullptr);
     EXPECT_EQ(doc->get("error")->get_string("stage"), "parse");
+    // A whole built-in design, synthesized cold.
+    doc = util::parse_json(client.roundtrip(systolic_request, 600000));
+    ASSERT_TRUE(doc.has_value());
+    ASSERT_EQ(doc->get_string("status"), "ok");
+    ASSERT_NE(doc->get("result"), nullptr);
+    cold_report = doc->get("result")->get_string("report");
+    EXPECT_FALSE(cold_report.empty());
   }
   // A new daemon on the same cache directory serves the disk tier.
   {
@@ -646,6 +656,18 @@ TEST(Server, AnswersOverSocketAndPersistsAcrossRestarts) {
     const util::JsonValue* cache = stats->get("stats")->get("cache");
     ASSERT_NE(cache, nullptr);
     EXPECT_EQ(cache->get_int("disk_hits", -1), 1);
+    // The design's every controller comes back from disk, unchanged.
+    const auto warm =
+        util::parse_json(client.roundtrip(systolic_request, 600000));
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_EQ(warm->get_string("status"), "ok");
+    const util::JsonValue* result = warm->get("result");
+    ASSERT_NE(result, nullptr);
+    const util::JsonValue* tiers = result->get("cache");
+    ASSERT_NE(tiers, nullptr);
+    EXPECT_EQ(tiers->get_int("misses", -1), 0);
+    EXPECT_GE(tiers->get_int("disk_hits", -1), 1);
+    EXPECT_EQ(result->get_string("report"), cold_report);
   }
 }
 
