@@ -1,6 +1,7 @@
 #include "src/flow/analyze.hpp"
 
 #include <exception>
+#include <optional>
 
 #include "src/analyze/analyze.hpp"
 #include "src/bm/compile.hpp"
@@ -50,8 +51,10 @@ AnalyzeResult analyze_control(const hsnet::Netlist& netlist,
           petri::from_ch(*program.body), program.name, lopts));
     }
     try {
-      const auto ctrl = minimalist::synthesize(spec, options.mode);
-      result.report.merge(lint::lint_two_level(ctrl, spec, lopts));
+      std::optional<minimalist::MachineSpec> machine;
+      const auto ctrl =
+          minimalist::synthesize(spec, options.mode, nullptr, &machine);
+      result.report.merge(lint::lint_two_level(ctrl, *machine, lopts));
       const std::string prefix = "ctl" + std::to_string(i);
       auto mapped = techmap::map_controller(ctrl, lib, mopts, prefix);
       if (options.analyze) {

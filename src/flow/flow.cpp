@@ -386,6 +386,9 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
       }
 
       stage = FlowStage::kSynthesis;
+      // The flow table synthesis extracted (a cache hit leaves it empty),
+      // reused by the MN lint.
+      std::optional<minimalist::MachineSpec> machine;
       minimalist::SynthesizedController ctrl = [&] {
         obs::Span span("flow.synthesis", obs::kCatSynth,
                        &unit.timing.minimalist_ms);
@@ -396,8 +399,9 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
               cache != nullptr
                   ? minimalist::synthesize_cached(spec, options.mode, *cache,
                                                   &unit.timing.cache_hit,
-                                                  budget, &tier)
-                  : minimalist::synthesize(spec, options.mode, budget);
+                                                  budget, &tier, &machine)
+                  : minimalist::synthesize(spec, options.mode, budget,
+                                           &machine);
           unit.timing.cache_disk = tier == minimalist::CacheTier::kDisk;
           span.arg("cache",
                    !unit.timing.cache_hit ? (cache != nullptr ? "miss" : "off")
@@ -415,9 +419,13 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
         obs::Span span("flow.lint.two_level", obs::kCatFlow,
                        &unit.timing.lint_ms);
         span.arg("controller", program.name);
-        local_absorb("two-level logic of controller '" + program.name + "'",
-                     lint::lint_two_level(ctrl, spec, options.lint_options));
+        local_absorb(
+            "two-level logic of controller '" + program.name + "'",
+            machine ? lint::lint_two_level(ctrl, *machine,
+                                           options.lint_options)
+                    : lint::lint_two_level(ctrl, spec, options.lint_options));
       }
+      machine.reset();  // free the flow table before techmap's peak
 
       stage = FlowStage::kTechmap;
       unit.prefix = "ctl" + std::to_string(i);

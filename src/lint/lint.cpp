@@ -185,17 +185,23 @@ Report lint_bm(const bm::Spec& spec, const LintOptions& options) {
 
 Report lint_two_level(const minimalist::SynthesizedController& ctrl,
                       const bm::Spec& spec, const LintOptions& options) {
-  Report report = make_report(options);
-  const std::string object = "controller " + quoted(ctrl.name);
-
   minimalist::MachineSpec machine;
   try {
     machine = minimalist::extract(spec);
   } catch (const std::exception& e) {
-    report.add("MN003", object,
+    Report report = make_report(options);
+    report.add("MN003", "controller " + quoted(ctrl.name),
                std::string("flow-table extraction failed: ") + e.what());
     return report;
   }
+  return lint_two_level(ctrl, machine, options);
+}
+
+Report lint_two_level(const minimalist::SynthesizedController& ctrl,
+                      const minimalist::MachineSpec& machine,
+                      const LintOptions& options) {
+  Report report = make_report(options);
+  const std::string object = "controller " + quoted(ctrl.name);
   if (machine.functions.size() != ctrl.functions.size() ||
       machine.num_vars != ctrl.num_vars) {
     report.add("MN003", object,

@@ -61,9 +61,15 @@ Report lint_bm(const bm::Spec& spec, const LintOptions& options = {});
 /// Two-level logic layer: re-derives the hazard-freedom obligations from
 /// the specification and screens every product of the synthesized logic
 /// against them (MN001 dynamic hazards, MN002 static hazards, MN003
-/// shape mismatches).
+/// shape mismatches or a flow table that cannot be extracted).
 Report lint_two_level(const minimalist::SynthesizedController& ctrl,
                       const bm::Spec& spec, const LintOptions& options = {});
+
+/// lint_two_level against an already extracted flow table (the one
+/// synthesis built), so the obligations are not derived twice.
+Report lint_two_level(const minimalist::SynthesizedController& ctrl,
+                      const minimalist::MachineSpec& machine,
+                      const LintOptions& options = {});
 
 /// Gate layer: multiple drivers (NL001), floating gate inputs (NL002),
 /// combinational cycles not broken by a DEL/DOUT or state-holding cell

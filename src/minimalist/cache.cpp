@@ -149,17 +149,17 @@ void SynthCache::clear() {
   evictions_ = 0;
 }
 
-SynthesizedController synthesize_cached(const bm::Spec& spec, SynthMode mode,
-                                        SynthCache& cache, bool* hit,
-                                        util::WorkBudget* budget,
-                                        CacheTier* tier) {
+SynthesizedController synthesize_cached(
+    const bm::Spec& spec, SynthMode mode, SynthCache& cache, bool* hit,
+    util::WorkBudget* budget, CacheTier* tier,
+    std::optional<MachineSpec>* machine) {
   CacheTier local_tier = CacheTier::kMiss;
   if (auto cached = cache.lookup(spec, mode, &local_tier)) {
     if (hit) *hit = true;
     if (tier) *tier = local_tier;
     return std::move(*cached);
   }
-  SynthesizedController ctrl = synthesize(spec, mode, budget);
+  SynthesizedController ctrl = synthesize(spec, mode, budget, machine);
   cache.store(spec, mode, ctrl);
   if (hit) *hit = false;
   if (tier) *tier = CacheTier::kMiss;

@@ -150,10 +150,12 @@ class SynthCache {
 /// `tier` which tier answered.  `budget` is only consulted on the miss
 /// path — a cache hit costs no budgeted work, so a controller that would
 /// blow its budget uncached can still succeed when a structurally
-/// identical twin seeded the cache.
-SynthesizedController synthesize_cached(const bm::Spec& spec, SynthMode mode,
-                                        SynthCache& cache, bool* hit = nullptr,
-                                        util::WorkBudget* budget = nullptr,
-                                        CacheTier* tier = nullptr);
+/// identical twin seeded the cache.  `machine` (when non-null) receives
+/// the flow table synthesize() extracted on a miss; a hit leaves it
+/// untouched.
+SynthesizedController synthesize_cached(
+    const bm::Spec& spec, SynthMode mode, SynthCache& cache,
+    bool* hit = nullptr, util::WorkBudget* budget = nullptr,
+    CacheTier* tier = nullptr, std::optional<MachineSpec>* machine = nullptr);
 
 }  // namespace bb::minimalist

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/bm/validate.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace bb::minimalist {
 
@@ -131,6 +132,7 @@ class CubeFactory {
 }  // namespace
 
 MachineSpec extract(const bm::Spec& spec) {
+  obs::Registry::global().counter("minimalist.extracted").add();
   MachineSpec machine;
   machine.name = spec.name;
   machine.inputs = spec.input_names();

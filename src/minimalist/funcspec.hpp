@@ -71,7 +71,8 @@ struct MachineSpec {
   std::vector<bool> initial_outputs;
 };
 
-/// Extracts the machine specification.  Throws std::runtime_error when the
+/// Extracts the machine specification and bumps the
+/// `minimalist.extracted` counter.  Throws std::runtime_error when the
 /// spec is inconsistent (ON/OFF overlap, non-unique entry valuations).
 MachineSpec extract(const bm::Spec& spec);
 

@@ -41,9 +41,17 @@ bool anchors_ok(const Cube& cube, const std::vector<Privilege>& privileges) {
 /// rows that conflict on `v`: an OFF row whose last conflict is `v`, or a
 /// privilege whose transition's last conflict is `v` while its anchor
 /// still conflicts after the raise.
+///
+/// Positive state-bit literals of the seed are pinned (state anchoring):
+/// no expansion ever raises them.  An OFF cube, or a privilege's
+/// transition, that conflicts with the seed on a pinned variable keeps a
+/// conflict count of at least 1 through every expansion, so it can never
+/// be the row a raise breaks.  Such rows are left out of the matrix; the
+/// expansions and their results are exactly those of the full matrix.
 class SeedExpander {
  public:
-  explicit SeedExpander(const FuncSpec& spec) : spec_(spec) {}
+  SeedExpander(const FuncSpec& spec, std::size_t state_base)
+      : spec_(spec), state_base_(state_base) {}
 
   /// Builds the blocking matrix of `seed`, which must be a hazard-free
   /// implicant.
@@ -57,36 +65,51 @@ class SeedExpander {
       transition_cols_[v].clear();
       anchor_cols_[v].clear();
     }
+    // A cube meets `pins` exactly when it agrees with the seed on every
+    // pinned variable.
+    Cube pins(seed.size());
+    for (std::size_t v = state_base_; v < seed.size(); ++v) {
+      if (seed[v] == Lit::kOne) pins.set(v, Lit::kOne);
+    }
 
-    const auto& off = spec_.off.cubes();
-    off_count0_.assign(off.size(), 0);
-    for (std::uint32_t o = 0; o < off.size(); ++o) {
-      seed.for_each_conflict(off[o], [&](std::size_t v) {
-        off_cols_[v].push_back(o);
-        ++off_count0_[o];
+    off_count0_.clear();
+    for (const Cube& off : spec_.off.cubes()) {
+      if (!pins.intersects(off)) continue;
+      const auto row = static_cast<std::uint32_t>(off_count0_.size());
+      off_count0_.push_back(0);
+      seed.for_each_conflict(off, [&](std::size_t v) {
+        off_cols_[v].push_back(row);
+        ++off_count0_[row];
       });
     }
-    const auto& privileges = spec_.privileges;
-    transition_count0_.assign(privileges.size(), 0);
-    anchor_count0_.assign(privileges.size(), 0);
-    for (std::uint32_t p = 0; p < privileges.size(); ++p) {
-      seed.for_each_conflict(privileges[p].anchor, [&](std::size_t v) {
-        anchor_cols_[v].push_back(p);
-        ++anchor_count0_[p];
+    transition_count0_.clear();
+    anchor_count0_.clear();
+    for (const Privilege& privilege : spec_.privileges) {
+      if (!pins.intersects(privilege.transition)) continue;
+      const auto row = static_cast<std::uint32_t>(transition_count0_.size());
+      transition_count0_.push_back(0);
+      anchor_count0_.push_back(0);
+      seed.for_each_conflict(privilege.anchor, [&](std::size_t v) {
+        anchor_cols_[v].push_back(row);
+        ++anchor_count0_[row];
       });
-      seed.for_each_conflict(privileges[p].transition, [&](std::size_t v) {
+      seed.for_each_conflict(privilege.transition, [&](std::size_t v) {
         const auto& anchors = anchor_cols_[v];
         const bool anchor_conflict =
-            !anchors.empty() && anchors.back() == p;
-        transition_cols_[v].push_back({p, anchor_conflict});
-        ++transition_count0_[p];
+            !anchors.empty() && anchors.back() == row;
+        transition_cols_[v].push_back({row, anchor_conflict});
+        ++transition_count0_[row];
       });
     }
   }
 
+  /// The OFF and privilege rows of the loaded seed's blocking matrix.
+  std::size_t matrix_rows() const {
+    return off_count0_.size() + transition_count0_.size();
+  }
+
   /// Expands the loaded seed raising variables in the given order.
-  /// Positive state-bit literals of the seed are pinned (state anchoring).
-  Cube expand(const std::vector<std::size_t>& order, std::size_t state_base) {
+  Cube expand(const std::vector<std::size_t>& order) {
     off_count_ = off_count0_;
     transition_count_ = transition_count0_;
     anchor_count_ = anchor_count0_;
@@ -94,7 +117,7 @@ class SeedExpander {
     Cube current = seed;
     for (const std::size_t v : order) {
       if (current[v] == Lit::kDash) continue;
-      if (v >= state_base && seed[v] == Lit::kOne) continue;  // anchored
+      if (v >= state_base_ && seed[v] == Lit::kOne) continue;  // pinned
       if (!can_raise(v)) continue;
       current.set(v, Lit::kDash);
       for (const std::uint32_t o : off_cols_[v]) --off_count_[o];
@@ -127,13 +150,15 @@ class SeedExpander {
   }
 
   const FuncSpec& spec_;
+  const std::size_t state_base_;
   const Cube* seed_ = nullptr;
-  /// Per variable: the OFF cubes, privilege transitions and anchors the
-  /// seed conflicts with on that variable.
+  /// Per variable: the matrix rows (kept OFF cubes, privilege transitions
+  /// and anchors) the seed conflicts with on that variable.
   std::vector<std::vector<std::uint32_t>> off_cols_;
   std::vector<std::vector<TransitionHit>> transition_cols_;
   std::vector<std::vector<std::uint32_t>> anchor_cols_;
-  /// Conflict counts of the seed, and of the cube being expanded.
+  /// Conflict counts of the seed, and of the cube being expanded, per
+  /// matrix row.
   std::vector<std::uint32_t> off_count0_, transition_count0_, anchor_count0_;
   std::vector<std::uint32_t> off_count_, transition_count_, anchor_count_;
 };
@@ -146,17 +171,13 @@ std::vector<Cube> covering_rows(const FuncSpec& spec) {
   return rows;
 }
 
-}  // namespace
-
-bool is_dhf_implicant(const Cube& cube, const FuncSpec& spec) {
-  return disjoint_from_off(cube, spec.off) &&
-         anchors_ok(cube, spec.privileges);
-}
-
-std::vector<Cube> dhf_candidates(const FuncSpec& spec, std::size_t num_vars,
-                                 std::size_t state_base,
-                                 util::WorkBudget* budget) {
-  const std::vector<Cube> rows = covering_rows(spec);
+/// dhf_candidates over the precomputed covering `rows` of `spec`; adds the
+/// blocking-matrix rows of every seed to `matrix_rows` when non-null.
+std::vector<Cube> expand_rows(const FuncSpec& spec,
+                              const std::vector<Cube>& rows,
+                              std::size_t num_vars, std::size_t state_base,
+                              util::WorkBudget* budget,
+                              std::size_t* matrix_rows) {
   for (const Cube& r : rows) {
     if (!is_dhf_implicant(r, spec)) {
       throw std::runtime_error(
@@ -171,28 +192,44 @@ std::vector<Cube> dhf_candidates(const FuncSpec& spec, std::size_t num_vars,
     if (seen.insert(c).second) candidates.push_back(std::move(c));
   };
 
-  std::vector<std::size_t> order(num_vars);
-  for (std::size_t v = 0; v < num_vars; ++v) order[v] = v;
+  // Natural, reversed, and a handful of rotated orders.
+  std::vector<std::vector<std::size_t>> orders(1);
+  for (std::size_t v = 0; v < num_vars; ++v) orders[0].push_back(v);
+  orders.emplace_back(orders[0].rbegin(), orders[0].rend());
+  const std::size_t rotations = std::min<std::size_t>(6, num_vars);
+  for (std::size_t k = 1; k <= rotations; ++k) {
+    std::vector<std::size_t> rot = orders[0];
+    std::rotate(rot.begin(), rot.begin() + (k * num_vars) / (rotations + 1),
+                rot.end());
+    orders.push_back(std::move(rot));
+  }
 
-  SeedExpander expander(spec);
+  SeedExpander expander(spec, state_base);
   for (const Cube& r : rows) {
     expander.load(r);
-    // Natural, reversed, and a handful of rotated orders.  Each expansion
-    // is one unit of DHF-candidate work against the budget.
-    if (budget != nullptr) budget->charge();
-    add_candidate(expander.expand(order, state_base));
-    std::vector<std::size_t> rev(order.rbegin(), order.rend());
-    add_candidate(expander.expand(rev, state_base));
-    const std::size_t rotations = std::min<std::size_t>(6, num_vars);
-    for (std::size_t k = 1; k <= rotations; ++k) {
-      if (budget != nullptr) budget->charge();
-      std::vector<std::size_t> rot = order;
-      std::rotate(rot.begin(), rot.begin() + (k * num_vars) / (rotations + 1),
-                  rot.end());
-      add_candidate(expander.expand(rot, state_base));
+    if (matrix_rows != nullptr) *matrix_rows += expander.matrix_rows();
+    // Each expansion is one unit of DHF-candidate work against the
+    // budget, except that the natural and reversed orders share one.
+    for (std::size_t k = 0; k < orders.size(); ++k) {
+      if (budget != nullptr && k != 1) budget->charge();
+      add_candidate(expander.expand(orders[k]));
     }
   }
   return candidates;
+}
+
+}  // namespace
+
+bool is_dhf_implicant(const Cube& cube, const FuncSpec& spec) {
+  return disjoint_from_off(cube, spec.off) &&
+         anchors_ok(cube, spec.privileges);
+}
+
+std::vector<Cube> dhf_candidates(const FuncSpec& spec, std::size_t num_vars,
+                                 std::size_t state_base,
+                                 util::WorkBudget* budget) {
+  return expand_rows(spec, covering_rows(spec), num_vars, state_base, budget,
+                     nullptr);
 }
 
 SolvedFunction minimize_function(const FuncSpec& spec, std::size_t num_vars,
@@ -208,14 +245,16 @@ SolvedFunction minimize_function(const FuncSpec& spec, std::size_t num_vars,
   out.products = logic::Cover(num_vars);
   if (rows.empty()) return out;  // constant-0 function
 
-  const std::vector<Cube> candidates =
-      dhf_candidates(spec, num_vars, state_base, budget);
+  std::size_t matrix_rows = 0;
+  const std::vector<Cube> candidates = expand_rows(
+      spec, rows, num_vars, state_base, budget, &matrix_rows);
   obs::Registry::global()
       .counter("minimalist.dhf_candidates")
       .add(candidates.size());
   span.arg("vars", static_cast<std::uint64_t>(num_vars));
   span.arg("off", static_cast<std::uint64_t>(spec.off.size()));
   span.arg("privileges", static_cast<std::uint64_t>(spec.privileges.size()));
+  span.arg("matrix_rows", static_cast<std::uint64_t>(matrix_rows));
   span.arg("rows", static_cast<std::uint64_t>(rows.size()));
   span.arg("candidates", static_cast<std::uint64_t>(candidates.size()));
 

@@ -86,12 +86,13 @@ std::string SynthesizedController::to_sol() const {
 }
 
 SynthesizedController synthesize(const bm::Spec& spec, SynthMode mode,
-                                 util::WorkBudget* budget) {
+                                 util::WorkBudget* budget,
+                                 std::optional<MachineSpec>* machine_out) {
   obs::Span span("minimalist.synthesize", obs::kCatSynth);
   span.arg("controller", spec.name);
   span.arg("states", static_cast<std::uint64_t>(spec.num_states));
   obs::Registry::global().counter("minimalist.synthesized").add();
-  const MachineSpec machine = extract(spec);
+  MachineSpec machine = extract(spec);
 
   SynthesizedController out;
   out.name = spec.name;
@@ -106,6 +107,7 @@ SynthesizedController synthesize(const bm::Spec& spec, SynthMode mode,
     out.functions.push_back(minimize_function(
         f, machine.num_vars, machine.inputs.size(), mode, budget));
   }
+  if (machine_out != nullptr) *machine_out = std::move(machine);
   return out;
 }
 

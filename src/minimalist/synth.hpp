@@ -3,6 +3,7 @@
 // replays every specification arc against the synthesized logic.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,10 +44,14 @@ struct SynthesizedController {
 /// Throws std::runtime_error on inconsistent or non-implementable specs.
 /// When `budget` is given it is polled by the exponential inner steps
 /// (DHF candidate expansion, unate covering); util::WorkBudgetExceeded
-/// propagates so the flow can degrade the affected controller.
-SynthesizedController synthesize(const bm::Spec& spec,
-                                 SynthMode mode = SynthMode::kSpeed,
-                                 util::WorkBudget* budget = nullptr);
+/// propagates so the flow can degrade the affected controller.  When
+/// `machine` is given, a successful synthesis hands back the flow table
+/// it extracted, so a caller that also lints the result need not extract
+/// it again.
+SynthesizedController synthesize(
+    const bm::Spec& spec, SynthMode mode = SynthMode::kSpeed,
+    util::WorkBudget* budget = nullptr,
+    std::optional<MachineSpec>* machine = nullptr);
 
 struct ValidationReport {
   bool ok = true;

@@ -13,6 +13,7 @@
 #include "src/flow/analyze.hpp"
 #include "src/flow/system.hpp"
 #include "src/flow/testbench.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/strings.hpp"
 
 namespace bb::flow {
@@ -114,6 +115,30 @@ TEST(Flow, SsemStoresExpectedValues) {
   const auto r = run_benchmark("ssem", FlowOptions::optimized());
   EXPECT_TRUE(r.ok) << r.detail;
   EXPECT_NE(r.detail.find("stores 0..4"), std::string::npos);
+}
+
+TEST(Flow, EachFlowTableIsExtractedOnce) {
+  // A cache miss lints against the flow table synthesis extracted; a hit
+  // extracts it once inside the lint.  Either way, one per controller.
+  const auto& extracted =
+      obs::Registry::global().counter("minimalist.extracted");
+  for (const char* name : {"stack", "ssem"}) {
+    SCOPED_TRACE(name);
+    const auto net = balsa::compile_source(designs::design(name).source);
+    minimalist::SynthCache cache;
+    FlowOptions options = FlowOptions::optimized();
+    options.cache_instance = &cache;
+
+    std::uint64_t before = extracted.value();
+    const auto cold = synthesize_control(net, options);
+    EXPECT_EQ(extracted.value() - before, cold.controllers.size());
+
+    before = extracted.value();
+    const auto warm = synthesize_control(net, options);
+    EXPECT_EQ(warm.timings.cache_misses, 0u);
+    EXPECT_EQ(extracted.value() - before, warm.controllers.size());
+    EXPECT_EQ(report(warm), report(cold));
+  }
 }
 
 TEST(Flow, AnalyzeGateRunsDeepPassesCleanOnSystolic) {

@@ -328,6 +328,100 @@ TEST(HfminReference, RandomSpecCandidatesMatchTheReference) {
   EXPECT_GT(candidates, 400u);
 }
 
+/// A random function shaped like a one-hot state function over `inputs`
+/// input and `states` state variables: every row holds 1-2 state bits at
+/// 1 (the variables expansion pins) and the other state bits at 0.  OFF
+/// cubes and privilege transitions are copies of a row with one pinned
+/// bit lowered, alone (a conflict count of 1, on the pin) or with one
+/// free literal flipped too (a count of 2), with some other literals
+/// raised; every fourth one is drawn at random instead.  Any that would
+/// make a row illegal is redrawn.
+FuncSpec random_one_hot_spec(std::mt19937& rng, std::size_t inputs,
+                             std::size_t states) {
+  const auto pick = [&](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  const std::size_t num_vars = inputs + states;
+  FuncSpec f;
+  f.name = "one-hot";
+  std::vector<Cube> rows;
+  for (std::size_t r = pick(1, 6); r > 0; --r) {
+    Cube row = random_cube(rng, num_vars, inputs, 0.25);
+    for (std::size_t v = inputs; v < num_vars; ++v) row.set(v, Lit::kZero);
+    for (std::size_t k = pick(1, 2); k > 0; --k) {
+      row.set(pick(inputs, num_vars - 1), Lit::kOne);
+    }
+    (r % 2 == 0 ? f.on_required : f.on_points).push_back(row);
+    rows.push_back(row);
+  }
+  const auto near_row = [&](std::size_t k) {
+    if (k % 4 == 3) return random_cube(rng, num_vars, num_vars, 0.6);
+    Cube c = rows[pick(0, rows.size() - 1)];
+    std::vector<std::size_t> pinned, free;
+    for (std::size_t v = 0; v < num_vars; ++v) {
+      if (v >= inputs && c[v] == Lit::kOne) {
+        pinned.push_back(v);
+      } else if (c[v] != Lit::kDash) {
+        free.push_back(v);
+      }
+    }
+    for (std::size_t n = pick(0, 3); n > 0 && !free.empty(); --n) {
+      c.set(free[pick(0, free.size() - 1)], Lit::kDash);
+    }
+    c.set(pinned[pick(0, pinned.size() - 1)], Lit::kZero);
+    if (k % 2 == 1) {
+      std::vector<std::size_t> fixed;
+      for (const std::size_t v : free) {
+        if (c[v] != Lit::kDash) fixed.push_back(v);
+      }
+      if (!fixed.empty()) {
+        const std::size_t v = fixed[pick(0, fixed.size() - 1)];
+        c.set(v, c[v] == Lit::kOne ? Lit::kZero : Lit::kOne);
+      }
+    }
+    return c;
+  };
+  const auto legal = [&](const FuncSpec& g) {
+    for (const Cube& r : rows) {
+      if (!is_dhf_implicant(r, g)) return false;
+    }
+    return true;
+  };
+  f.off = logic::Cover(num_vars);
+  const std::size_t off = pick(0, 40);
+  for (std::size_t tries = 0; f.off.size() < off && tries < 400; ++tries) {
+    FuncSpec g = f;
+    g.off.add(near_row(tries));
+    if (legal(g)) f = std::move(g);
+  }
+  const std::size_t privileges = pick(0, 8);
+  for (std::size_t tries = 0; f.privileges.size() < privileges && tries < 400;
+       ++tries) {
+    FuncSpec g = f;
+    g.privileges.push_back(
+        {near_row(tries), random_cube(rng, num_vars, inputs, 0.6)});
+    if (legal(g)) f = std::move(g);
+  }
+  return f;
+}
+
+TEST(HfminReference, OneHotSpecCandidatesMatchTheReference) {
+  std::mt19937 rng(1962);
+  std::size_t candidates = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t inputs =
+        std::uniform_int_distribution<std::size_t>(0, 24)(rng);
+    const std::size_t states =
+        std::uniform_int_distribution<std::size_t>(1, 40)(rng);
+    SCOPED_TRACE("one-hot spec " + std::to_string(i) + ", " +
+                 std::to_string(inputs) + " inputs, " +
+                 std::to_string(states) + " states");
+    candidates += expect_same_candidates(
+        random_one_hot_spec(rng, inputs, states), inputs + states, inputs);
+  }
+  EXPECT_GT(candidates, 300u);
+}
+
 TEST(HfminReference, BudgetRunsOutAtTheSameCharge) {
   std::mt19937 rng(5);
   const FuncSpec f = random_spec(rng, 40, 30);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 
 #include "src/balsa/compile.hpp"
 #include "src/bm/compile.hpp"
@@ -17,9 +18,11 @@
 #include "src/ch/parser.hpp"
 #include "src/designs/designs.hpp"
 #include "src/flow/flow.hpp"
+#include "src/hsnet/to_ch.hpp"
 #include "src/lint/diag.hpp"
 #include "src/lint/sarif.hpp"
 #include "src/minimalist/synth.hpp"
+#include "src/opt/cluster.hpp"
 
 namespace bb::lint {
 namespace {
@@ -459,6 +462,48 @@ TEST(LintTwoLevel, ShapeMismatchIsMN003) {
   ctrl.functions.pop_back();
   const Report report = lint_two_level(ctrl, spec);
   EXPECT_EQ(rules_of(report), std::vector<std::string>{"MN003"});
+}
+
+/// lint_two_level against the flow table synthesis handed back reports
+/// exactly what re-extracting it from the specification reports.
+void expect_same_two_level_reports(const bm::Spec& spec) {
+  SCOPED_TRACE(spec.name);
+  std::optional<minimalist::MachineSpec> machine;
+  auto ctrl = minimalist::synthesize(spec, minimalist::SynthMode::kSpeed,
+                                     nullptr, &machine);
+  ASSERT_TRUE(machine.has_value());
+  auto off = ctrl;  // the MN001 fixture
+  off.functions[0].products.add(logic::Cube(ctrl.num_vars));
+  auto uncovered = ctrl;  // the MN002 fixture
+  uncovered.functions[0].products = logic::Cover(ctrl.num_vars);
+  auto shape = ctrl;  // the MN003 fixture
+  shape.functions.pop_back();
+  for (const auto* c : {&ctrl, &off, &uncovered, &shape}) {
+    EXPECT_EQ(lint_two_level(*c, *machine).to_json(),
+              lint_two_level(*c, spec).to_json());
+  }
+}
+
+TEST(LintTwoLevel, ExtractedFlowTableGivesTheSameReport) {
+  expect_same_two_level_reports(clean_spec());
+}
+
+TEST(LintTwoLevel, PaperControllersGiveTheSameReportFromEitherFlowTable) {
+  for (const char* name : {"systolic", "wagging", "stack", "ssem"}) {
+    const auto net = balsa::compile_source(designs::design(name).source);
+    std::vector<ch::Program> programs;
+    for (const int id : net.control_ids()) {
+      programs.push_back(hsnet::to_ch(net.component(id)));
+    }
+    opt::ClusterOptions copts;
+    copts.max_states = flow::FlowOptions::optimized().max_states;
+    const auto controllers = opt::optimize(std::move(programs), copts);
+    ASSERT_FALSE(controllers.empty());
+    for (const auto& cp : controllers) {
+      expect_same_two_level_reports(
+          bm::compile(*cp.program.body, cp.program.name));
+    }
+  }
 }
 
 // ---- gate layer -----------------------------------------------------
