@@ -1,19 +1,14 @@
 #include "src/incr/build.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "src/balsa/compile.hpp"
 #include "src/balsa/digest.hpp"
 #include "src/balsa/parser.hpp"
 #include "src/balsa/printer.hpp"
-#include "src/bm/compile.hpp"
-#include "src/hsnet/to_ch.hpp"
-#include "src/minimalist/cache.hpp"
 #include "src/netlist/verilog.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/opt/cluster.hpp"
 #include "src/techmap/cells.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/json.hpp"
@@ -21,44 +16,6 @@
 namespace bb::incr {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-/// The controllers a unit's netlist resolves to, each with the digest of
-/// its synthesis-cache key.  This re-runs the cheap front half of the
-/// flow (Balsa-to-CH + clustering + CH-to-BMS, no synthesis); the
-/// template baseline has no per-controller cache key, so it records
-/// names only, from the synthesis result.
-std::vector<ControllerRecord> controller_records(
-    const hsnet::Netlist& net, const flow::FlowOptions& options,
-    const flow::ControlResult& result, const std::string& library_fp) {
-  std::vector<ControllerRecord> records;
-  if (options.templates) {
-    for (const flow::ControllerInfo& info : result.info) {
-      records.push_back(ControllerRecord{info.name, ""});
-    }
-    return records;
-  }
-  opt::ClusterOptions copts;
-  copts.max_states = options.max_states;
-  auto clustered =
-      options.cluster
-          ? opt::optimize(hsnet::control_programs(net), copts, nullptr)
-          : opt::wrap(hsnet::control_programs(net));
-  for (const auto& c : clustered) {
-    const auto spec = bm::compile(*c.program.body, c.program.name);
-    records.push_back(ControllerRecord{
-        c.program.name,
-        util::content_digest(
-            minimalist::cache_key(spec, options.mode, library_fp))});
-  }
-  return records;
-}
 
 /// Sums one rebuilt unit's stage times into the build-wide block.
 void accumulate(flow::StageTimings* total, const flow::StageTimings& unit) {
@@ -81,7 +38,7 @@ void accumulate(flow::StageTimings* total, const flow::StageTimings& unit) {
 std::string options_fingerprint(const flow::FlowOptions& options) {
   // Every field here changes what bytes a successful build emits (or
   // whether it succeeds at all, for the lint configuration — a reused
-  // artifact must never hide a finding a rebuild would have gated on).
+  // unit must never hide a finding a rebuild would have gated on).
   std::string image;
   image += "cluster " + std::to_string(options.cluster) + "\n";
   image += std::string("mode ") +
@@ -151,7 +108,6 @@ std::string BuildResult::to_json() const {
 
 BuildResult build(std::string_view source, const std::string& project_dir,
                   const flow::FlowOptions& options) {
-  const auto start = Clock::now();
   BuildResult out;
   obs::Span span("incr.build", obs::kCatIncr, &out.timings.total_ms);
   obs::Registry::global().counter("incr.builds").add();
@@ -175,57 +131,50 @@ BuildResult build(std::string_view source, const std::string& project_dir,
   next.options = options_fp;
 
   for (const balsa::Procedure& procedure : procedures) {
-    const auto unit_start = Clock::now();
+    UnitRecord record;
+    record.name = procedure.name;
+    record.digest = unit_digest(procedure, options_fp, library_fp);
     UnitOutcome outcome;
-    outcome.name = procedure.name;
-    outcome.digest = unit_digest(procedure, options_fp, library_fp);
+    outcome.name = record.name;
+    outcome.digest = record.digest;
 
-    // Reuse path: same inputs, artifact present and intact.  A missing
-    // or corrupt artifact silently demotes the unit to dirty — the
-    // manifest is a promise about inputs, the artifact check is the
-    // proof the outputs survived.
-    if (previous) {
-      if (const UnitRecord* record = previous->find(procedure.name);
-          record != nullptr && record->digest == outcome.digest) {
-        if (auto artifact = load_artifact(project_dir, record->artifact)) {
-          outcome.reused = true;
-          outcome.controllers = record->controllers.size();
-          out.report += "== unit " + procedure.name + " ==\n" +
-                        artifact->report;
-          out.verilog += artifact->verilog;
-          out.controllers_reused += record->controllers.size();
-          ++out.units_reused;
-          next.units.push_back(*record);
-          out.units.push_back(std::move(outcome));
-          continue;
-        }
-      }
+    // Reuse path: same inputs, so the stored bytes are the bytes a
+    // rebuild would produce.
+    const UnitRecord* previous_record =
+        previous ? previous->find(procedure.name) : nullptr;
+    if (previous_record != nullptr &&
+        previous_record->digest == record.digest) {
+      outcome.reused = true;
+      outcome.controllers = previous_record->controllers;
+      out.report += "== unit " + procedure.name + " ==\n" +
+                    previous_record->report;
+      out.verilog += previous_record->verilog;
+      out.controllers_reused += previous_record->controllers;
+      ++out.units_reused;
+      next.units.push_back(*previous_record);
+      out.units.push_back(std::move(outcome));
+      continue;
     }
 
     // Dirty path: run the full flow for this unit.  Controllers shared
     // with other units (or with the previous build, in a daemon) still
     // come out of the synthesis-cache tiers as hits.
-    obs::Span unit_span("incr.unit", obs::kCatIncr);
+    obs::Span unit_span("incr.unit", obs::kCatIncr, &outcome.ms);
     unit_span.arg("unit", procedure.name);
-    const auto net = balsa::compile(procedure);
-    auto result = flow::synthesize_control(net, options);
+    auto result = flow::synthesize_control(balsa::compile(procedure), options);
     result.gates.set_name(procedure.name);
 
-    Artifact artifact;
-    artifact.report = flow::report(result);
-    artifact.verilog = netlist::to_verilog(result.gates);
+    // The template baseline reports one info record per controller; the
+    // synthesis path times each clustered controller.
+    record.controllers = options.templates ? result.info.size()
+                                           : result.timings.controllers.size();
+    record.report = flow::report(result);
+    record.verilog = netlist::to_verilog(result.gates);
+    unit_span.finish();
 
-    UnitRecord record;
-    record.name = procedure.name;
-    record.digest = outcome.digest;
-    record.artifact = artifact_file_name(procedure.name, outcome.digest);
-    record.controllers = controller_records(net, options, result, library_fp);
-    store_artifact(project_dir, record.artifact, artifact);
-
-    outcome.controllers = record.controllers.size();
-    outcome.ms = ms_since(unit_start);
-    out.report += "== unit " + procedure.name + " ==\n" + artifact.report;
-    out.verilog += artifact.verilog;
+    outcome.controllers = record.controllers;
+    out.report += "== unit " + procedure.name + " ==\n" + record.report;
+    out.verilog += record.verilog;
     out.controllers_rebuilt += result.timings.cache_misses;
     out.controllers_reused += result.timings.cache_hits;
     ++out.units_rebuilt;
@@ -239,14 +188,12 @@ BuildResult build(std::string_view source, const std::string& project_dir,
   out.timings.incr_controllers_reused = out.controllers_reused;
   out.timings.incr_controllers_rebuilt = out.controllers_rebuilt;
 
-  // Publish the new graph only after every unit succeeded, then drop
-  // artifacts nothing references anymore.  A failed store is not a
-  // build failure — the output in hand is correct either way.
+  // Publish the new graph only after every unit succeeded.  A failed
+  // store is not a build failure — the output in hand is correct either
+  // way.
   std::string store_error;
   out.manifest_stored = store_manifest(project_dir, next, &store_error);
-  if (out.manifest_stored) {
-    gc_artifacts(project_dir, next);
-  } else {
+  if (!out.manifest_stored) {
     obs::Registry::global().counter("incr.manifest.store_failures").add();
   }
 
@@ -257,7 +204,6 @@ BuildResult build(std::string_view source, const std::string& project_dir,
   registry.counter("incr.controllers.reused").add(out.controllers_reused);
 
   span.finish();
-  out.timings.total_ms = ms_since(start);
   return out;
 }
 

@@ -3,22 +3,22 @@
 // build() synthesizes a whole mini-Balsa program (one or more
 // procedures) against a persistent project directory (manifest.hpp).
 // Each procedure is a unit; a unit whose input digest matches the
-// manifest is *reused* — its stored artifact bytes are spliced into the
-// output with zero synthesis work — and only the dirty units run the
-// flow.  Dirty units still reuse individual controllers through the
-// ordinary synthesis-cache tiers (minimalist::SynthCache and, in the
-// daemon, serve::DiskCache behind it), so an edit that leaves some of a
-// unit's controllers structurally unchanged pays only for the changed
-// ones.
+// manifest is *reused* — the output bytes its manifest record carries
+// are spliced into the output with zero synthesis work — and only the
+// dirty units run the flow.  Dirty units still reuse individual
+// controllers through the ordinary synthesis-cache tiers
+// (minimalist::SynthCache and, in the daemon, serve::DiskCache behind
+// it), so an edit that leaves some of a unit's controllers structurally
+// unchanged pays only for the changed ones.
 //
 // The contract is the one every correct build system honors: the
 // incremental output is byte-identical to a full rebuild.  It holds
-// because (a) the flow itself is deterministic, (b) artifacts store the
-// exact bytes of the last build, and (c) anything that could change the
-// bytes — source, effective options, technology library — is folded into
-// the unit digest.  When the project state is unusable (first build,
-// corrupted manifest, version bump), everything is dirty: slower, never
-// wrong.
+// because (a) the flow itself is deterministic, (b) the manifest stores
+// the exact bytes of each unit's last build, and (c) anything that could
+// change the bytes — source, effective options, technology library — is
+// folded into the unit digest.  A build reads one file and writes one
+// file.  When that file is unusable (first build, corruption, version
+// bump), everything is dirty: slower, never wrong.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +87,7 @@ std::string unit_digest(const balsa::Procedure& procedure,
                         const std::string& library_fp);
 
 /// Builds `source` (a whole program) incrementally against
-/// `project_dir`, updating the manifest and artifacts on success.
+/// `project_dir`, rewriting its manifest on success.
 /// Throws (ParseError / CompileError / FlowError / LintError) exactly
 /// like the underlying flow; the manifest is only rewritten after every
 /// unit succeeded, so a failed build never poisons the project state.

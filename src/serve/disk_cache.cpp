@@ -339,24 +339,37 @@ void DiskCache::evict_to_cap() {
     std::uint64_t access = 0;
     std::uint64_t size = 0;
   };
+  // Sizes come from the directory listing; an entry's bytes are read
+  // (for its access clock) only when the directory is over the cap.
   std::error_code ec;
   std::vector<EntryFile> files;
   std::uint64_t total = 0;
   for (const auto& it : fs::directory_iterator(root_, ec)) {
     if (!it.is_regular_file(ec)) continue;
     if (!is_entry_file(it.path())) continue;
-    const auto data = slurp(it.path().string());
+    std::error_code size_ec;
+    const std::uint64_t size = it.file_size(size_ec);
+    if (size_ec) continue;
+    files.push_back(EntryFile{it.path(), 0, size});
+    total += size;
+  }
+  if (total <= max_bytes_) return;
+  std::vector<EntryFile> readable;
+  for (EntryFile& f : files) {
+    // Re-size from the bytes read: an entry re-stored since the listing
+    // counts as it is now, and one that vanished counts not at all.
+    total -= f.size;
+    const auto data = slurp(f.path.string());
     if (!data) continue;
-    const auto entry = parse_entry(*data);
-    EntryFile f;
-    f.path = it.path();
     f.size = data->size();
+    total += f.size;
+    const auto entry = parse_entry(*data);
     // An unparseable entry sorts first (access 0): it is dead weight
     // the size cap should reclaim before any live entry.
     f.access = entry ? entry->access : 0;
-    total += f.size;
-    files.push_back(std::move(f));
+    readable.push_back(std::move(f));
   }
+  files = std::move(readable);
   if (total <= max_bytes_) return;
   std::sort(files.begin(), files.end(),
             [](const EntryFile& a, const EntryFile& b) {

@@ -134,7 +134,8 @@ class DiskCache : public minimalist::SynthCache::BackingStore {
   /// Deletes a failed entry and counts it; missing files are fine.
   void drop_corrupt(const std::string& path);
   /// Evicts least-recently-used entries (journal-first) until the
-  /// directory fits the size cap.  Called after stores, under mu_.
+  /// directory fits the size cap.  Called after stores, under mu_; a
+  /// directory under the cap costs one listing, no entry reads.
   void evict_to_cap();
   /// The open-time repair pass (see the header comment).
   void recover();

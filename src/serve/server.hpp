@@ -72,7 +72,7 @@ struct ServerOptions {
   std::size_t span_ring = 16384;
   /// Root directory for incremental-build projects (src/incr); each
   /// request's "project" name becomes a subdirectory holding that
-  /// project's manifest and artifacts.  Empty = the
+  /// project's one file, manifest.bbpm.  Empty = the
   /// synthesize_incremental op is disabled.  (bb-served defaults this
   /// from BB_PROJECT_DIR.)
   std::string project_dir;

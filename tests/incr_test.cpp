@@ -1,26 +1,39 @@
-// The incremental-build subsystem: manifest/artifact framing and
-// corruption recovery, unit-digest stability, multi-procedure parsing,
+// The incremental-build subsystem: manifest framing and corruption
+// recovery, unit-digest stability, multi-procedure parsing,
 // library-versioned cache keys, and the end-to-end contract — an edit
-// rebuilds exactly the affected units and the spliced output stays
-// byte-identical to a full rebuild.
+// rebuilds exactly the affected units, the spliced output stays
+// byte-identical to a full rebuild, and the manifest is the only file a
+// project holds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "src/balsa/compile.hpp"
 #include "src/balsa/digest.hpp"
 #include "src/balsa/parser.hpp"
 #include "src/balsa/printer.hpp"
 #include "src/bm/parse.hpp"
+#include "src/designs/designs.hpp"
+#include "src/hsnet/to_ch.hpp"
 #include "src/incr/build.hpp"
 #include "src/incr/manifest.hpp"
 #include "src/minimalist/cache.hpp"
 #include "src/minimalist/synth.hpp"
+#include "src/opt/cluster.hpp"
 #include "src/util/failpoint.hpp"
+#include "src/util/hash.hpp"
+#include "src/util/json.hpp"
+
+#ifndef BB_EXAMPLES_DIR
+#error "BB_EXAMPLES_DIR must name the examples directory"
+#endif
 
 namespace fs = std::filesystem;
 using namespace bb;
@@ -95,21 +108,20 @@ incr::Manifest sample_manifest() {
   incr::UnitRecord unit;
   unit.name = "relay";
   unit.digest = "0123456789abcdef";
-  unit.artifact = "relay-0123456789abcdef.bba";
-  unit.controllers.push_back({"relay_c0", "fedcba9876543210"});
-  unit.controllers.push_back({"relay_c1", ""});
+  unit.controllers = 2;
+  unit.report = "controller report\nwith \"quotes\" and lines\n";
+  unit.verilog = "module relay();\nendmodule\n";
   m.units.push_back(unit);
   incr::UnitRecord other;
   other.name = "ticker";
   other.digest = "ffffffffffffffff";
-  other.artifact = "ticker-ffffffffffffffff.bba";
   m.units.push_back(other);
   return m;
 }
 
 }  // namespace
 
-// ---- manifest and artifact serialization ----
+// ---- manifest serialization ----
 
 TEST(Manifest, RoundTripPreservesEveryField) {
   const incr::Manifest m = sample_manifest();
@@ -122,12 +134,12 @@ TEST(Manifest, RoundTripPreservesEveryField) {
   ASSERT_EQ(back->units.size(), 2u);
   EXPECT_EQ(back->units[0].name, "relay");
   EXPECT_EQ(back->units[0].digest, "0123456789abcdef");
-  EXPECT_EQ(back->units[0].artifact, "relay-0123456789abcdef.bba");
-  ASSERT_EQ(back->units[0].controllers.size(), 2u);
-  EXPECT_EQ(back->units[0].controllers[0].name, "relay_c0");
-  EXPECT_EQ(back->units[0].controllers[0].key, "fedcba9876543210");
-  EXPECT_EQ(back->units[0].controllers[1].key, "");
+  EXPECT_EQ(back->units[0].controllers, 2u);
+  EXPECT_EQ(back->units[0].report, m.units[0].report);
+  EXPECT_EQ(back->units[0].verilog, m.units[0].verilog);
   EXPECT_EQ(back->units[1].name, "ticker");
+  EXPECT_EQ(back->units[1].controllers, 0u);
+  EXPECT_EQ(back->units[1].report, "");
   // Serialization is deterministic — a round trip is a byte fixed point.
   EXPECT_EQ(incr::manifest_to_bytes(*back), incr::manifest_to_bytes(m));
 }
@@ -151,11 +163,11 @@ TEST(Manifest, AnyFramingDefectIsRejectedWithAReason) {
     bad.push_back(flipped);
   }
   {
-    // Version bump: readers of version 1 must refuse a version 2 file.
+    // Version bump: readers of version 2 must refuse a version 3 file.
     std::string bumped = good;
-    const auto pos = bumped.find("bbpm 1");
+    const auto pos = bumped.find("bbpm 2");
     ASSERT_NE(pos, std::string::npos);
-    bumped[pos + 5] = '2';
+    bumped[pos + 5] = '3';
     bad.push_back(bumped);
   }
   for (const auto& bytes : bad) {
@@ -166,63 +178,57 @@ TEST(Manifest, AnyFramingDefectIsRejectedWithAReason) {
 }
 
 TEST(Manifest, ArtifactRoundTripIsByteExact) {
-  incr::Artifact a;
-  a.report = "controller report\nwith lines\n";
-  a.verilog = "module relay();\nendmodule\n";
-  std::string error;
-  const auto back = incr::artifact_from_bytes(incr::artifact_to_bytes(a),
-                                              &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_EQ(back->report, a.report);
-  EXPECT_EQ(back->verilog, a.verilog);
-  EXPECT_FALSE(
-      incr::artifact_from_bytes("bbart 1\n0000000000000000\n{}").has_value());
-}
-
-TEST(Manifest, ArtifactFileNamesAreSanitized) {
-  EXPECT_EQ(incr::artifact_file_name("relay", "0123456789abcdef"),
-            "relay-0123456789abcdef.bba");
-  // A hostile unit name cannot traverse out of artifacts/.
-  const std::string evil = incr::artifact_file_name("../../etc/passwd",
-                                                    "0123456789abcdef");
-  EXPECT_EQ(evil.find('/'), std::string::npos);
-  EXPECT_EQ(evil.find(".."), std::string::npos);
-}
-
-TEST(Manifest, DiskRoundTripAndGc) {
-  TempDir dir("disk");
+  // A unit's stored output bytes (its artifact: report + Verilog) come
+  // back byte for byte, whatever bytes they hold — control characters,
+  // quotes, backslashes, NUL and high bytes included.
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte.push_back(static_cast<char>(c));
   incr::Manifest m = sample_manifest();
-  incr::Artifact a;
-  a.report = "r";
-  a.verilog = "v";
+  m.units[0].report = every_byte;
+  m.units[0].verilog = "module relay();\n  // \"\\\t\r\nendmodule\n";
   std::string error;
-  ASSERT_TRUE(incr::store_artifact(dir.str(), m.units[0].artifact, a, &error))
-      << error;
-  ASSERT_TRUE(incr::store_artifact(dir.str(), m.units[1].artifact, a, &error))
-      << error;
-  ASSERT_TRUE(incr::store_manifest(dir.str(), m, &error)) << error;
+  const auto back =
+      incr::manifest_from_bytes(incr::manifest_to_bytes(m), &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(back->units[0].report, every_byte);
+  EXPECT_EQ(back->units[0].verilog, m.units[0].verilog);
+  // A unit record that lost its artifact bytes is a framing defect.
+  for (const std::string missing : {"report", "verilog"}) {
+    util::JsonWriter w;
+    w.begin_object();
+    w.member("schema_version", incr::kManifestVersion);
+    w.member("library", m.library);
+    w.member("options", m.options);
+    w.key("units").begin_array();
+    w.begin_object()
+        .member("name", "relay")
+        .member("digest", "0123456789abcdef")
+        .member("controllers", 1);
+    if (missing != "report") w.member("report", "r");
+    if (missing != "verilog") w.member("verilog", "v");
+    w.end_object().end_array().end_object();
+    EXPECT_FALSE(incr::manifest_from_bytes(
+                     util::frame("bbpm", incr::kManifestVersion, w.str()))
+                     .has_value())
+        << "missing " << missing;
+  }
+}
 
+TEST(Manifest, DiskRoundTripIsByteExact) {
+  TempDir dir("disk");
+  const incr::Manifest m = sample_manifest();
+  std::string error;
+  ASSERT_TRUE(incr::store_manifest(dir.str(), m, &error)) << error;
   const auto loaded = incr::load_manifest(dir.str(), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(incr::manifest_to_bytes(*loaded), incr::manifest_to_bytes(m));
-  const auto art = incr::load_artifact(dir.str(), m.units[0].artifact);
-  ASSERT_TRUE(art.has_value());
-  EXPECT_EQ(art->report, "r");
-
-  // Drop the second unit from the manifest: gc removes its artifact and
-  // keeps the referenced one.
-  const std::string stale = m.units[1].artifact;
-  m.units.pop_back();
-  EXPECT_EQ(incr::gc_artifacts(dir.str(), m), 1u);
-  EXPECT_TRUE(fs::exists(incr::artifact_path(dir.str(), m.units[0].artifact)));
-  EXPECT_FALSE(fs::exists(incr::artifact_path(dir.str(), stale)));
 }
 
 TEST(Manifest, CorruptedOnDiskManifestLoadsAsAbsent) {
   TempDir dir("corrupt");
   std::string error;
   ASSERT_TRUE(incr::store_manifest(dir.str(), sample_manifest(), &error));
-  spill(incr::manifest_path(dir.str()), "bbpm 1\ngarbage");
+  spill(incr::manifest_path(dir.str()), "bbpm 2\ngarbage");
   EXPECT_FALSE(incr::load_manifest(dir.str(), &error).has_value());
   EXPECT_FALSE(error.empty());
 }
@@ -391,8 +397,8 @@ TEST_F(IncrTest, ColdThenWarmThenEditRebuildsExactlyTheDirtyUnit) {
 TEST_F(IncrTest, CorruptManifestDegradesToAFullRebuildNeverWrongOutput) {
   const auto cold = incr::build(kProgram, dir.str(), options);
   for (const char* garbage :
-       {"", "total garbage", "bbpm 2\n0000000000000000\n{}",
-        "bbpm 1\n0000000000000000\n{\"units\":[]}"}) {
+       {"", "total garbage", "bbpm 3\n0000000000000000\n{}",
+        "bbpm 2\n0000000000000000\n{\"units\":[]}"}) {
     spill(incr::manifest_path(dir.str()), garbage);
     const auto rebuilt = incr::build(kProgram, dir.str(), options);
     EXPECT_TRUE(rebuilt.full_rebuild) << '"' << garbage << '"';
@@ -407,15 +413,25 @@ TEST_F(IncrTest, CorruptManifestDegradesToAFullRebuildNeverWrongOutput) {
 }
 
 TEST_F(IncrTest, MissingArtifactDirtiesOnlyThatUnit) {
+  // A manifest that no longer holds one unit's record (and so none of its
+  // stored bytes) rebuilds that unit alone and reuses the rest.
   const auto cold = incr::build(kProgram, dir.str(), options);
   std::string error;
-  const auto manifest = incr::load_manifest(dir.str(), &error);
+  auto manifest = incr::load_manifest(dir.str(), &error);
   ASSERT_TRUE(manifest.has_value()) << error;
-  fs::remove(incr::artifact_path(dir.str(), manifest->find("relay")->artifact));
+  ASSERT_NE(manifest->find("relay"), nullptr);
+  manifest->units.erase(manifest->units.begin());
+  ASSERT_EQ(manifest->find("relay"), nullptr);
+  ASSERT_TRUE(incr::store_manifest(dir.str(), *manifest, &error)) << error;
   const auto rebuilt = incr::build(kProgram, dir.str(), options);
+  EXPECT_FALSE(rebuilt.full_rebuild);
   EXPECT_EQ(rebuilt.units_rebuilt, 1u);
   EXPECT_EQ(rebuilt.units_reused, 1u);
+  ASSERT_EQ(rebuilt.units.size(), 2u);
+  EXPECT_FALSE(rebuilt.units[0].reused) << "relay lost its record";
+  EXPECT_TRUE(rebuilt.units[1].reused) << "ticker kept its record";
   EXPECT_EQ(rebuilt.verilog, cold.verilog);
+  EXPECT_EQ(rebuilt.report, cold.report);
 }
 
 TEST_F(IncrTest, OptionChangesDirtyEveryUnit) {
@@ -434,24 +450,53 @@ TEST_F(IncrTest, OptionChangesDirtyEveryUnit) {
   EXPECT_EQ(warm.units_reused, 2u);
 }
 
-TEST_F(IncrTest, EditsNeverLeaveStaleArtifactsBehind)  {
-  incr::build(kProgram, dir.str(), options);
-  incr::build(kProgramEdited, dir.str(), options);
-  // Every file under artifacts/ is referenced by the live manifest.
-  std::string error;
-  const auto manifest = incr::load_manifest(dir.str(), &error);
-  ASSERT_TRUE(manifest.has_value()) << error;
-  std::size_t on_disk = 0;
-  for (const auto& entry :
-       fs::directory_iterator(fs::path(dir.str()) / incr::kArtifactDir)) {
-    ++on_disk;
-    bool referenced = false;
-    for (const auto& unit : manifest->units) {
-      referenced = referenced || unit.artifact == entry.path().filename();
+TEST_F(IncrTest, TheManifestIsTheOnlyProjectFile) {
+  const auto list = [this] {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+      names.push_back(entry.path().filename().string());
     }
-    EXPECT_TRUE(referenced) << entry.path();
+    return names;
+  };
+  const std::vector<std::string> only{incr::kManifestFile};
+  incr::build(kProgram, dir.str(), options);
+  EXPECT_EQ(list(), only) << "after a cold build";
+  const auto edited = incr::build(kProgramEdited, dir.str(), options);
+  EXPECT_EQ(edited.units_rebuilt, 1u);
+  EXPECT_EQ(list(), only) << "after an edit build";
+}
+
+TEST_F(IncrTest, VersionOneManifestIsAFullRebuild) {
+  const auto cold = incr::build(kProgram, dir.str(), options);
+  std::string error;
+  const auto current = incr::load_manifest(dir.str(), &error);
+  ASSERT_TRUE(current.has_value()) << error;
+  // The version-1 layout: output bytes lived in artifacts/ files, and
+  // the manifest named them.  Same units, same digests.
+  util::JsonWriter w;
+  w.begin_object();
+  w.member("schema_version", 1);
+  w.member("library", current->library);
+  w.member("options", current->options);
+  w.key("units").begin_array();
+  for (const incr::UnitRecord& unit : current->units) {
+    w.begin_object()
+        .member("name", unit.name)
+        .member("digest", unit.digest)
+        .member("artifact", unit.name + "-" + unit.digest + ".bba");
+    w.key("controllers").begin_array().end_array().end_object();
   }
-  EXPECT_EQ(on_disk, manifest->units.size());
+  w.end_array().end_object();
+  spill(incr::manifest_path(dir.str()), util::frame("bbpm", 1, w.str()));
+
+  const auto rebuilt = incr::build(kProgram, dir.str(), options);
+  EXPECT_TRUE(rebuilt.full_rebuild);
+  EXPECT_FALSE(rebuilt.full_rebuild_reason.empty());
+  EXPECT_EQ(rebuilt.units_rebuilt, 2u);
+  EXPECT_EQ(rebuilt.report, cold.report);
+  EXPECT_EQ(rebuilt.verilog, cold.verilog);
+  const auto warm = incr::build(kProgram, dir.str(), options);
+  EXPECT_EQ(warm.units_reused, 2u) << "the rebuild wrote a version-2 file";
 }
 
 TEST_F(IncrTest, ParseFailuresDoNotPoisonTheProject) {
@@ -481,4 +526,68 @@ TEST_F(IncrTest, ManifestStoreFailureIsReportedButTheBuildStandsAlone) {
   EXPECT_EQ(retry.verilog, cold.verilog);
   const auto warm = incr::build(kProgram, dir.str(), options);
   EXPECT_EQ(warm.units_reused, 2u);
+}
+
+// ---- controller counts ----
+
+namespace {
+
+/// The controllers a procedure resolves to, re-derived from its
+/// netlist: the clustered (or wrapped) control programs on the synthesis
+/// path, one per control component in the template baseline.
+std::size_t reference_controllers(const balsa::Procedure& procedure,
+                                  const flow::FlowOptions& options) {
+  const auto net = balsa::compile(procedure);
+  if (options.templates && !options.cluster) return net.control_ids().size();
+  auto programs = hsnet::control_programs(net);
+  if (!options.cluster) return programs.size();
+  opt::ClusterOptions copts;
+  copts.max_states = options.max_states;
+  return opt::optimize(std::move(programs), copts).size();
+}
+
+/// The four paper designs and every examples/*.balsa program.
+std::vector<std::pair<std::string, std::string>> count_corpus() {
+  std::vector<std::pair<std::string, std::string>> corpus;
+  for (const designs::DesignInfo* design : designs::all_designs()) {
+    corpus.emplace_back(design->name, design->source);
+  }
+  std::vector<fs::path> paths;
+  for (const auto& entry : fs::directory_iterator(BB_EXAMPLES_DIR)) {
+    if (entry.path().extension() == ".balsa") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  for (const fs::path& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    corpus.emplace_back(path.filename().string(), text.str());
+  }
+  return corpus;
+}
+
+}  // namespace
+
+TEST(IncrControllers, CountsMatchAReclusteringReference) {
+  const auto corpus = count_corpus();
+  ASSERT_GE(corpus.size(), 7u) << "four designs plus the example programs";
+  for (const flow::FlowOptions& options :
+       {flow::FlowOptions::optimized(), flow::FlowOptions::unoptimized()}) {
+    for (const auto& [name, source] : corpus) {
+      SCOPED_TRACE(name + (options.templates ? " unoptimized" : " optimized"));
+      TempDir dir("count");
+      const auto procedures = balsa::parse_program(source);
+      const auto cold = incr::build(source, dir.str(), options);
+      const auto warm = incr::build(source, dir.str(), options);
+      ASSERT_EQ(cold.units.size(), procedures.size());
+      ASSERT_EQ(warm.units_reused, procedures.size());
+      for (std::size_t i = 0; i < procedures.size(); ++i) {
+        const std::size_t expected =
+            reference_controllers(procedures[i], options);
+        EXPECT_GT(expected, 0u) << procedures[i].name;
+        EXPECT_EQ(cold.units[i].controllers, expected) << procedures[i].name;
+        EXPECT_EQ(warm.units[i].controllers, expected) << procedures[i].name;
+      }
+    }
+  }
 }
