@@ -1,7 +1,6 @@
 #include "src/flow/faultsim.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
@@ -294,13 +293,7 @@ bool fault_detected(FaultOutcome outcome) {
 }
 
 std::uint64_t effective_seed(const CampaignOptions& options) {
-  if (options.seed != 0) return options.seed;
-  if (const char* env = std::getenv("BB_SEED")) {
-    if (const auto n = util::parse_ll(env); n.has_value() && *n > 0) {
-      return static_cast<std::uint64_t>(*n);
-    }
-  }
-  return 1;
+  return util::resolve_seed(options.seed);
 }
 
 DesignCampaign run_design_campaign(const std::string& design,

@@ -1,7 +1,6 @@
 #include "src/fuzz/campaign.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <stdexcept>
@@ -99,13 +98,7 @@ bool plausibly_terminating(const balsa::Command& c) {
 }  // namespace
 
 std::uint64_t effective_seed(const FuzzOptions& options) {
-  if (options.seed != 0) return options.seed;
-  if (const char* env = std::getenv("BB_SEED")) {
-    if (const auto n = util::parse_ll(env); n.has_value() && *n > 0) {
-      return static_cast<std::uint64_t>(*n);
-    }
-  }
-  return 1;
+  return util::resolve_seed(options.seed);
 }
 
 OracleResult check_design(const hsnet::Netlist& netlist,

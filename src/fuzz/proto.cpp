@@ -1,7 +1,6 @@
 #include "src/fuzz/proto.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <string_view>
 
@@ -19,16 +18,6 @@ namespace bb::fuzz {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t resolve_seed(std::uint64_t seed) {
-  if (seed != 0) return seed;
-  if (const char* env = std::getenv("BB_SEED")) {
-    if (const auto parsed = util::parse_ll(env); parsed && *parsed > 0) {
-      return static_cast<std::uint64_t>(*parsed);
-    }
-  }
-  return 1;
-}
 
 /// Escaped, bounded rendering of raw fuzz bytes for reports (the JSON
 /// artifact must stay valid and small whatever the input was).
@@ -197,7 +186,7 @@ std::string ProtoFuzzResult::to_json() const {
 
 ProtoFuzzResult run_proto_fuzz(const ProtoFuzzOptions& options) {
   ProtoFuzzResult result;
-  result.seed = resolve_seed(options.seed);
+  result.seed = util::resolve_seed(options.seed);
   const auto started = Clock::now();
   const auto expired = [&] {
     if (options.time_budget_ms <= 0) return false;

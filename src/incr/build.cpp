@@ -119,7 +119,9 @@ BuildResult build(std::string_view source, const std::string& project_dir,
   // The previous build graph.  Any defect means nothing is reusable;
   // record why so operators can tell a first build from corruption.
   std::string manifest_error;
-  const auto previous = load_manifest(project_dir, &manifest_error);
+  std::string previous_bytes;
+  const auto previous =
+      load_manifest(project_dir, &manifest_error, &previous_bytes);
   if (!previous) {
     out.full_rebuild = true;
     out.full_rebuild_reason = manifest_error;
@@ -188,11 +190,14 @@ BuildResult build(std::string_view source, const std::string& project_dir,
   out.timings.incr_controllers_reused = out.controllers_reused;
   out.timings.incr_controllers_rebuilt = out.controllers_rebuilt;
 
-  // Publish the new graph only after every unit succeeded.  A failed
-  // store is not a build failure — the output in hand is correct either
-  // way.
+  // Publish the new graph only after every unit succeeded, and only when
+  // it differs from the one on disk (a no-op build writes nothing).  A
+  // failed store is not a build failure — the output in hand is correct
+  // either way.
   std::string store_error;
-  out.manifest_stored = store_manifest(project_dir, next, &store_error);
+  out.manifest_stored =
+      (previous && manifest_to_bytes(next) == previous_bytes) ||
+      store_manifest(project_dir, next, &store_error);
   if (!out.manifest_stored) {
     obs::Registry::global().counter("incr.manifest.store_failures").add();
   }

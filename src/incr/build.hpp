@@ -65,7 +65,8 @@ struct BuildResult {
   /// counters filled in; total_ms is the whole build() wall time.
   flow::StageTimings timings;
   /// False when persisting the manifest failed (the build itself is
-  /// still valid; the next build just rebuilds more).
+  /// still valid; the next build just rebuilds more).  True, with no
+  /// write, when the new manifest equals the one on disk.
   bool manifest_stored = true;
 
   /// Stable machine-readable rendering (bench artifacts, serve replies).

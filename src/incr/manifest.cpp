@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "src/util/failpoint.hpp"
 #include "src/util/hash.hpp"
@@ -14,18 +12,6 @@
 namespace fs = std::filesystem;
 
 namespace bb::incr {
-
-namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
-}
-
-}  // namespace
 
 const UnitRecord* Manifest::find(std::string_view name) const {
   for (const UnitRecord& unit : units) {
@@ -100,13 +86,20 @@ std::string manifest_path(const std::string& project_dir) {
 }
 
 std::optional<Manifest> load_manifest(const std::string& project_dir,
-                                      std::string* error) {
-  try {
-    return manifest_from_bytes(read_file(manifest_path(project_dir)), error);
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
+                                      std::string* error, std::string* bytes) {
+  const std::string path = manifest_path(project_dir);
+  auto data = util::read_file(path);
+  if (!data) {
+    std::error_code ec;
+    if (error != nullptr) {
+      *error = fs::exists(path, ec) ? "cannot read '" + path + "'"
+                                    : "no manifest";
+    }
     return std::nullopt;
   }
+  auto manifest = manifest_from_bytes(*data, error);
+  if (manifest && bytes != nullptr) *bytes = std::move(*data);
+  return manifest;
 }
 
 bool store_manifest(const std::string& project_dir, const Manifest& manifest,

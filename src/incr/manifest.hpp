@@ -75,9 +75,12 @@ std::optional<Manifest> manifest_from_bytes(std::string_view bytes,
 std::string manifest_path(const std::string& project_dir);
 
 /// Loads and verifies the manifest.  nullopt on any defect (reason in
-/// `error`); the caller falls back to a full rebuild.
+/// `error`: "no manifest" when the file does not exist); the caller
+/// falls back to a full rebuild.  On success `bytes`, when non-null,
+/// receives the file's bytes.
 std::optional<Manifest> load_manifest(const std::string& project_dir,
-                                      std::string* error = nullptr);
+                                      std::string* error = nullptr,
+                                      std::string* bytes = nullptr);
 
 /// Atomically writes the manifest (creating the project directory).
 /// Returns false on I/O failure — including an injected

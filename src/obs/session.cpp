@@ -1,7 +1,6 @@
 #include "src/obs/session.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 
 #include "src/obs/metrics.hpp"
@@ -37,12 +36,6 @@ void pool_task_observer(const util::ThreadPool::TaskStats& stats) {
 }
 
 }  // namespace
-
-std::string env_or(std::string value, const char* env_var) {
-  if (!value.empty()) return value;
-  if (const char* env = std::getenv(env_var)) return env;
-  return {};
-}
 
 void install_thread_pool_instrumentation() {
   util::ThreadPool::set_task_observer(&pool_task_observer);

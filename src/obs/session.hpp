@@ -2,10 +2,11 @@
 // that turns the tracer on, hooks the thread pool, and writes the trace
 // and metrics artifacts when it goes out of scope.
 //
-// Tools construct a Session near the top of main():
+// Tools construct a Session near the top of main(), from the paths
+// their command line resolved (tools::Cli::observability(): --trace and
+// --metrics, with the BB_TRACE/BB_METRICS fallbacks):
 //
-//   obs::Session session(obs::env_or(trace_flag, "BB_TRACE"),
-//                        obs::env_or(metrics_flag, "BB_METRICS"));
+//   obs::Session session(cli.trace_path(), cli.metrics_path());
 //
 // Empty paths disable the corresponding artifact.  Library code never
 // opens a Session; the program that owns main() does.  Sessions still
@@ -17,10 +18,6 @@
 #include <string>
 
 namespace bb::obs {
-
-/// `value` when non-empty, otherwise the environment variable `env_var`
-/// (empty when unset).
-std::string env_or(std::string value, const char* env_var);
 
 /// Registers the util::ThreadPool task observer that feeds the pool.*
 /// metrics and per-task trace spans.  Idempotent.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -36,17 +34,6 @@ constexpr const char* kJournalHeader = "bbdj 1";
 /// directory.  A writer holds its temp for milliseconds, so anything
 /// past the window is the residue of a crash.
 constexpr std::chrono::seconds kTmpGraceWindow{10};
-
-/// Reads a whole file; nullopt when it cannot be opened (racing delete,
-/// permissions) — always a miss, never an error.
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return buf.str();
-}
 
 obs::Counter& counter(const char* name) {
   return obs::Registry::global().counter(name);
@@ -113,19 +100,6 @@ DiskCache::DiskCache(std::string root, std::uint64_t max_bytes)
   recover();
 }
 
-std::unique_ptr<DiskCache> DiskCache::from_env() {
-  const char* dir = std::getenv("BB_CACHE_DIR");
-  if (dir == nullptr || *dir == '\0') return nullptr;
-  std::uint64_t max_bytes = kDefaultCacheMaxBytes;
-  if (const char* mb = std::getenv("BB_CACHE_MAX_MB")) {
-    const auto parsed = util::parse_ll(mb);
-    if (parsed && *parsed > 0) {
-      max_bytes = static_cast<std::uint64_t>(*parsed) << 20;
-    }
-  }
-  return std::make_unique<DiskCache>(dir, max_bytes);
-}
-
 std::string DiskCache::entry_path(const std::string& key) const {
   // Two independent FNV-1a streams give a 128-bit address; the embedded
   // key is still verified on load, so even a collision only costs a miss.
@@ -141,7 +115,7 @@ void DiskCache::recover() {
   // open (quarantine files) names the pass that produced it.  A store
   // on a read-only filesystem keeps working with the in-memory stamp.
   const std::string gen_path = root_ + "/" + kGenerationFile;
-  if (const auto gen = slurp(gen_path)) {
+  if (const auto gen = util::read_file(gen_path)) {
     generation_ =
         static_cast<std::uint64_t>(util::parse_ll(util::trim(*gen)).value_or(0));
   }
@@ -172,7 +146,7 @@ void DiskCache::recover() {
   // invariant.  The journal file itself is written atomically, so it is
   // either absent, or complete and trustworthy.
   const std::string journal_path = root_ + "/" + kJournalFile;
-  if (const auto journal = slurp(journal_path)) {
+  if (const auto journal = util::read_file(journal_path)) {
     std::istringstream lines(*journal);
     std::string line;
     bool header_ok = std::getline(lines, line) && line == kJournalHeader;
@@ -186,7 +160,7 @@ void DiskCache::recover() {
         continue;
       }
       const fs::path victim = fs::path(root_) / filename;
-      const auto data = slurp(victim.string());
+      const auto data = util::read_file(victim.string());
       if (!data) continue;  // already unlinked before the crash
       const auto entry = parse_entry(*data);
       if (!entry) {
@@ -227,7 +201,7 @@ void DiskCache::recover() {
       continue;
     }
     if (!is_entry_file(path)) continue;
-    const auto data = slurp(path.string());
+    const auto data = util::read_file(path.string());
     if (!data) continue;
     const auto entry = parse_entry(*data);
     if (!entry || entry_path(std::string(entry->key)) != path.string()) {
@@ -253,7 +227,7 @@ std::optional<minimalist::SynthesizedController> DiskCache::load(
     return std::nullopt;
   }
   const std::string path = entry_path(key);
-  const auto data = slurp(path);
+  const auto data = util::read_file(path);
   if (!data) {
     miss();
     return std::nullopt;
@@ -359,7 +333,7 @@ void DiskCache::evict_to_cap() {
     // Re-size from the bytes read: an entry re-stored since the listing
     // counts as it is now, and one that vanished counts not at all.
     total -= f.size;
-    const auto data = slurp(f.path.string());
+    const auto data = util::read_file(f.path.string());
     if (!data) continue;
     f.size = data->size();
     total += f.size;
@@ -404,7 +378,7 @@ void DiskCache::evict_to_cap() {
     // Re-check the victim's clock right before the unlink: another
     // process sharing the directory may have re-stored or touched it
     // since the scan, and a touched entry is live, not evictable.
-    const auto data = slurp(f.path.string());
+    const auto data = util::read_file(f.path.string());
     if (!data) continue;
     const auto entry = parse_entry(*data);
     if (entry && entry->access > f.access) continue;
@@ -437,7 +411,7 @@ DiskCache::VerifyReport DiskCache::verify_all() const {
   for (const auto& it : fs::directory_iterator(root_, ec)) {
     if (!it.is_regular_file(ec) || !is_entry_file(it.path())) continue;
     ++report.entries;
-    const auto data = slurp(it.path().string());
+    const auto data = util::read_file(it.path().string());
     const auto entry = data ? parse_entry(*data) : std::nullopt;
     const bool valid =
         entry && entry_path(std::string(entry->key)) == it.path().string() &&

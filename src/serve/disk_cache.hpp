@@ -45,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -81,11 +80,6 @@ class DiskCache : public minimalist::SynthCache::BackingStore {
   /// when the directory cannot be created.
   explicit DiskCache(std::string root,
                      std::uint64_t max_bytes = kDefaultCacheMaxBytes);
-
-  /// The BB_CACHE_DIR-configured store: nullptr when the variable is
-  /// unset or empty (the persistent tier is off by default).
-  /// BB_CACHE_MAX_MB overrides the size cap.
-  static std::unique_ptr<DiskCache> from_env();
 
   std::optional<minimalist::SynthesizedController> load(
       const std::string& key) override;

@@ -25,18 +25,13 @@
 // BB_PROJECT_DIR env fallback),
 // --trace FILE (Chrome trace-event JSON; BB_TRACE env fallback),
 // --metrics FILE (metrics snapshot JSON; BB_METRICS env fallback).
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/balsa/compile.hpp"
 #include "src/balsa/parser.hpp"
 #include "src/bm/compile.hpp"
 #include "src/ch/printer.hpp"
-#include "src/designs/designs.hpp"
 #include "src/flow/benchmarks.hpp"
 #include "src/flow/flow.hpp"
 #include "src/hsnet/to_ch.hpp"
@@ -45,77 +40,34 @@
 #include "src/netlist/verilog.hpp"
 #include "src/obs/session.hpp"
 #include "src/opt/cluster.hpp"
-#include "src/util/strings.hpp"
-
-namespace {
-
-[[noreturn]] void usage() {
-  std::cerr
-      << "usage: bbbc <netlist|ch|bms|sol|verilog|report|bench> "
-         "<file.balsa|design> [--unoptimized] [--max-states N] "
-         "[--jobs N] [--no-cache] [--incremental] [--project-dir DIR] "
-         "[--trace FILE] [--metrics FILE]\n"
-         "built-in designs: systolic wagging stack ssem\n";
-  std::exit(2);
-}
-
-std::string load_source(const std::string& arg) {
-  for (const auto* d : bb::designs::all_designs()) {
-    if (d->name == arg) return d->source;
-  }
-  std::ifstream file(arg);
-  if (!file) {
-    std::cerr << "bbbc: cannot open '" << arg
-              << "' (and it is not a built-in design)\n";
-    std::exit(1);
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
-}
-
-}  // namespace
+#include "src/tools/cli.hpp"
 
 int main(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::string command = argv[1];
-  const std::string target = argv[2];
-
-  bb::flow::FlowOptions options = bb::flow::FlowOptions::optimized();
-  std::string trace_path;
-  std::string metrics_path;
-  std::string project_dir;
-  if (const char* dir = std::getenv(bb::incr::kProjectDirEnv)) {
-    project_dir = dir;
-  }
+  bool unoptimized = false;
   bool incremental = false;
   bool no_cache = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--unoptimized") {
-      options = bb::flow::FlowOptions::unoptimized();
-    } else if (flag == "--incremental") {
-      incremental = true;
-    } else if (flag == "--project-dir" && i + 1 < argc) {
-      project_dir = argv[++i];
-    } else if (flag == "--max-states" && i + 1 < argc) {
-      options.max_states = static_cast<int>(
-          bb::util::parse_int("bbbc", "--max-states", argv[++i], 0, 1000000));
-    } else if (flag == "--jobs" && i + 1 < argc) {
-      options.jobs = static_cast<int>(
-          bb::util::parse_int("bbbc", "--jobs", argv[++i], 0, 4096));
-    } else if (flag == "--no-cache") {
-      no_cache = true;
-    } else if (flag == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (flag == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
-      usage();
-    }
-  }
-  bb::obs::Session session(bb::obs::env_or(trace_path, "BB_TRACE"),
-                           bb::obs::env_or(metrics_path, "BB_METRICS"));
+  bb::flow::FlowOptions tuning;  // --max-states and --jobs land here
+  std::string project_dir;
+  bb::tools::Cli cli(
+      "bbbc", "<netlist|ch|bms|sol|verilog|report|bench> <file.balsa|design>",
+      2, 2, "built-in designs: systolic wagging stack ssem");
+  cli.flag("--unoptimized", &unoptimized)
+      .integer("--max-states", 0, 1000000, &tuning.max_states)
+      .integer("--jobs", 0, 4096, &tuning.jobs)
+      .flag("--no-cache", &no_cache)
+      .flag("--incremental", &incremental)
+      .text("--project-dir", "DIR", &project_dir, bb::incr::kProjectDirEnv)
+      .observability();
+  const auto operands = cli.parse(argc, argv);
+  const std::string& command = operands[0];
+  const std::string& target = operands[1];
+
+  bb::flow::FlowOptions options = unoptimized
+                                      ? bb::flow::FlowOptions::unoptimized()
+                                      : bb::flow::FlowOptions::optimized();
+  options.max_states = tuning.max_states;
+  options.jobs = tuning.jobs;
+  bb::obs::Session session(cli.trace_path(), cli.metrics_path());
   bb::minimalist::SynthCache cache;
   if (!no_cache) options.cache_instance = &cache;
 
@@ -134,22 +86,19 @@ int main(int argc, char** argv) {
 
     if (command != "netlist" && command != "ch" && command != "bms" &&
         command != "sol" && command != "verilog" && command != "report") {
-      usage();
+      cli.fail("unknown command '" + command + "'");
     }
 
     if (incremental) {
       if (command != "verilog" && command != "report") {
-        std::cerr << "bbbc: --incremental supports the verilog and report "
-                     "commands\n";
-        return 2;
+        cli.fail("--incremental supports the verilog and report commands");
       }
       if (project_dir.empty()) {
-        std::cerr << "bbbc: --incremental needs --project-dir (or the "
-                  << bb::incr::kProjectDirEnv << " environment variable)\n";
-        return 2;
+        cli.fail(std::string("--incremental needs --project-dir (or the ") +
+                 bb::incr::kProjectDirEnv + " environment variable)");
       }
-      const auto result =
-          bb::incr::build(load_source(target), project_dir, options);
+      const auto result = bb::incr::build(
+          bb::tools::load_design("bbbc", target), project_dir, options);
       if (command == "verilog") {
         std::cout << result.verilog;
       } else {
@@ -166,7 +115,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const auto procedures = bb::balsa::parse_program(load_source(target));
+    const auto procedures =
+        bb::balsa::parse_program(bb::tools::load_design("bbbc", target));
     const bool multi = procedures.size() > 1;
     for (const auto& procedure : procedures) {
       if (multi) std::cout << "== unit " << procedure.name << " ==\n";

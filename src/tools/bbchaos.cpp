@@ -14,7 +14,6 @@
 //
 // --served defaults to a bb-served binary next to this one.  Exit
 // status: 0 campaign passed, 1 failed (or spawn error), 2 usage.
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -22,55 +21,26 @@
 #include <unistd.h>
 
 #include "src/serve/chaos.hpp"
-#include "src/util/io.hpp"
-#include "src/util/strings.hpp"
-
-namespace {
+#include "src/tools/cli.hpp"
 
 namespace fs = std::filesystem;
-
-[[noreturn]] void usage() {
-  std::cerr << "usage: bb-chaos [--served PATH] [--seed N] [--cycles N]"
-               " [--clients N] [--requests N] [--work-dir DIR]"
-               " [--recovery-budget-ms N] [--json FILE]\n";
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bb::serve::ChaosOptions options;
   options.cycles = 10;  // interactive default; CI passes --cycles 50+
   std::string json_path;
   std::string work_dir;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--served" && i + 1 < argc) {
-      options.served_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = static_cast<std::uint64_t>(bb::util::parse_int(
-          "bb-chaos", "--seed", argv[++i], 1, 1ll << 62));
-    } else if (arg == "--cycles" && i + 1 < argc) {
-      options.cycles = static_cast<int>(
-          bb::util::parse_int("bb-chaos", "--cycles", argv[++i], 1, 100000));
-    } else if (arg == "--clients" && i + 1 < argc) {
-      options.clients = static_cast<int>(
-          bb::util::parse_int("bb-chaos", "--clients", argv[++i], 1, 256));
-    } else if (arg == "--requests" && i + 1 < argc) {
-      options.requests_per_client = static_cast<int>(
-          bb::util::parse_int("bb-chaos", "--requests", argv[++i], 1, 1024));
-    } else if (arg == "--work-dir" && i + 1 < argc) {
-      work_dir = argv[++i];
-    } else if (arg == "--recovery-budget-ms" && i + 1 < argc) {
-      options.recovery_budget_ms = bb::util::parse_int(
-          "bb-chaos", "--recovery-budget-ms", argv[++i], 100, 3600000);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      usage();
-    }
-  }
+  bb::tools::Cli cli("bb-chaos", "", 0, 0);
+  cli.text("--served", "PATH", &options.served_path)
+      .integer("--seed", 1, 1ll << 62, &options.seed)
+      .integer("--cycles", 1, 100000, &options.cycles)
+      .integer("--clients", 1, 256, &options.clients)
+      .integer("--requests", 1, 1024, &options.requests_per_client)
+      .text("--work-dir", "DIR", &work_dir)
+      .integer("--recovery-budget-ms", 100, 3600000,
+               &options.recovery_budget_ms)
+      .text("--json", "FILE", &json_path);
+  cli.parse(argc, argv);
 
   if (options.served_path.empty()) {
     std::error_code ec;
@@ -86,10 +56,7 @@ int main(int argc, char** argv) {
   try {
     const bb::serve::ChaosResult result = bb::serve::run_chaos(options);
     std::cout << result.to_text();
-    if (!json_path.empty()) {
-      bb::util::write_file_atomic(json_path, result.to_json() + "\n");
-      std::cout << "wrote " << json_path << "\n";
-    }
+    bb::tools::write_json_artifact(json_path, result.to_json());
     if (work_dir.empty()) {
       std::error_code ec;
       fs::remove_all(options.work_dir, ec);

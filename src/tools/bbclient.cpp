@@ -21,7 +21,9 @@
 //   --socket PATH      daemon socket (required)
 //   --op OP            ping | stats | metrics | trace | shutdown |
 //                      synthesize | synthesize_bm |
-//                      synthesize_incremental (default: ping)
+//                      synthesize_incremental (default: implied by
+//                      --project, --bms, --design/--source in that
+//                      order, else ping)
 //   --design NAME      built-in design (synthesize)
 //   --source FILE      mini-Balsa source file, "-" = stdin (synthesize,
 //                      synthesize_incremental)
@@ -52,34 +54,21 @@
 //                      dedupe a retry whose original actually ran
 //   --backoff-ms N     first retry delay, doubled per retry (default 50)
 #include <chrono>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include <unistd.h>
 
 #include "src/serve/client.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/tools/cli.hpp"
+#include "src/util/io.hpp"
 #include "src/util/json.hpp"
 #include "src/util/json_parse.hpp"
-#include "src/util/strings.hpp"
 
 namespace {
-
-[[noreturn]] void usage() {
-  std::cerr << "usage: bb-client --socket PATH [--op OP] [--design NAME]"
-               " [--source FILE] [--project NAME] [--bms FILE]"
-               " [--mode speed|area] [--id ID]"
-               " [--trace-id ID] [--format json|prometheus|both] [--last N]"
-               " [--filter ID] [--json] [--verilog] [--unoptimized]"
-               " [--no-cache] [--work-budget N] [--timeout-ms N]"
-               " [--retries N] [--backoff-ms N]\n"
-               "ops: ping stats metrics trace shutdown synthesize"
-               " synthesize_bm synthesize_incremental\n";
-  std::exit(2);
-}
 
 // Exit codes (keep in sync with the file header).
 constexpr int kExitOk = 0;
@@ -97,26 +86,20 @@ int exit_code_for_status(const std::string& status) {
   return kExitTransport;  // not a protocol reply
 }
 
-std::string slurp_or_die(const std::string& path) {
-  std::ostringstream buf;
-  if (path == "-") {
-    buf << std::cin.rdbuf();
-  } else {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::cerr << "bb-client: cannot read '" << path << "'\n";
-      std::exit(2);
-    }
-    buf << in.rdbuf();
+/// The bytes of `path` ("-" = stdin); exits 2 when it cannot be read.
+std::string read_input(const std::string& path) {
+  if (auto text = bb::util::read_file(path == "-" ? "/dev/stdin" : path)) {
+    return *std::move(text);
   }
-  return buf.str();
+  std::cerr << "bb-client: cannot read '" << path << "'\n";
+  std::exit(2);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string socket_path;
-  std::string op = "ping";
+  std::string op;
   std::string design;
   std::string source_path;
   std::string bms_path;
@@ -135,69 +118,40 @@ int main(int argc, char** argv) {
   int timeout_ms = 120000;
   int retries = 1;
   int backoff_ms = 50;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (flag == "--op" && i + 1 < argc) {
-      op = argv[++i];
-    } else if (flag == "--design" && i + 1 < argc) {
-      design = argv[++i];
-      if (op == "ping") op = "synthesize";
-    } else if (flag == "--source" && i + 1 < argc) {
-      source_path = argv[++i];
-      if (op == "ping") op = "synthesize";
-    } else if (flag == "--bms" && i + 1 < argc) {
-      bms_path = argv[++i];
-      if (op == "ping") op = "synthesize_bm";
-    } else if (flag == "--project" && i + 1 < argc) {
-      project = argv[++i];
-      if (op == "ping" || op == "synthesize") op = "synthesize_incremental";
-    } else if (flag == "--mode" && i + 1 < argc) {
-      mode = argv[++i];
-    } else if (flag == "--id" && i + 1 < argc) {
-      id = argv[++i];
-    } else if (flag == "--trace-id" && i + 1 < argc) {
-      trace_id = argv[++i];
-    } else if (flag == "--format" && i + 1 < argc) {
-      format = argv[++i];
-      if (format != "json" && format != "prometheus" && format != "both") {
-        usage();
-      }
-    } else if (flag == "--last" && i + 1 < argc) {
-      last = static_cast<int>(bb::util::parse_int(
-          "bb-client", "--last", argv[++i], 0,
-          std::numeric_limits<int>::max()));
-    } else if (flag == "--filter" && i + 1 < argc) {
-      filter = argv[++i];
-    } else if (flag == "--json") {
-      json_envelope = true;
-    } else if (flag == "--verilog") {
-      verilog = true;
-    } else if (flag == "--unoptimized") {
-      unoptimized = true;
-    } else if (flag == "--no-cache") {
-      no_cache = true;
-    } else if (flag == "--work-budget" && i + 1 < argc) {
-      work_budget = bb::util::parse_int(
-          "bb-client", "--work-budget", argv[++i], 0,
-          std::numeric_limits<long long>::max());
-    } else if (flag == "--timeout-ms" && i + 1 < argc) {
-      timeout_ms = static_cast<int>(bb::util::parse_int(
-          "bb-client", "--timeout-ms", argv[++i], 0,
-          std::numeric_limits<int>::max()));
-    } else if (flag == "--retries" && i + 1 < argc) {
-      retries = static_cast<int>(
-          bb::util::parse_int("bb-client", "--retries", argv[++i], 1, 1000));
-    } else if (flag == "--backoff-ms" && i + 1 < argc) {
-      backoff_ms = static_cast<int>(bb::util::parse_int(
-          "bb-client", "--backoff-ms", argv[++i], 1, 3600000));
-    } else {
-      usage();
-    }
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  bb::tools::Cli cli("bb-client", "", 0, 0,
+                     "ops: ping stats metrics trace shutdown synthesize"
+                     " synthesize_bm synthesize_incremental");
+  cli.text("--socket", "PATH", &socket_path)
+      .text("--op", "OP", &op)
+      .text("--design", "NAME", &design)
+      .text("--source", "FILE", &source_path)
+      .text("--project", "NAME", &project)
+      .text("--bms", "FILE", &bms_path)
+      .text("--mode", "speed|area", &mode)
+      .text("--id", "ID", &id)
+      .text("--trace-id", "ID", &trace_id)
+      .choice("--format", {"json", "prometheus", "both"}, &format)
+      .integer("--last", 0, kIntMax, &last)
+      .text("--filter", "ID", &filter)
+      .flag("--json", &json_envelope)
+      .flag("--verilog", &verilog)
+      .flag("--unoptimized", &unoptimized)
+      .flag("--no-cache", &no_cache)
+      .integer("--work-budget", 0, std::numeric_limits<long long>::max(),
+               &work_budget)
+      .integer("--timeout-ms", 0, kIntMax, &timeout_ms)
+      .integer("--retries", 1, 1000, &retries)
+      .integer("--backoff-ms", 1, 3600000, &backoff_ms);
+  cli.parse(argc, argv);
+  if (socket_path.empty()) cli.fail("--socket is required");
+  // Without --op, the payload flags pick the op.
+  if (op.empty()) {
+    op = !project.empty()                          ? "synthesize_incremental"
+         : !bms_path.empty()                       ? "synthesize_bm"
+         : !design.empty() || !source_path.empty() ? "synthesize"
+                                                   : "ping";
   }
-  if (socket_path.empty()) usage();
 
   // Retried requests need an id — it is the server's idempotency key,
   // the only thing keeping a retry whose original actually executed
@@ -217,8 +171,8 @@ int main(int argc, char** argv) {
   if (!trace_id.empty()) w.member("trace_id", trace_id);
   w.member("op", op);
   if (!design.empty()) w.member("design", design);
-  if (!source_path.empty()) w.member("source", slurp_or_die(source_path));
-  if (!bms_path.empty()) w.member("bms", slurp_or_die(bms_path));
+  if (!source_path.empty()) w.member("source", read_input(source_path));
+  if (!bms_path.empty()) w.member("bms", read_input(bms_path));
   if (!project.empty()) w.member("project", project);
   if (mode != "speed") w.member("mode", mode);
   if (format != "json") w.member("format", format);

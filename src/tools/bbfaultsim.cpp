@@ -17,7 +17,6 @@
 //   --unoptimized    template baseline flow instead of the clustered one
 //   --trace FILE     Chrome trace-event JSON (BB_TRACE env fallback)
 //   --metrics FILE   metrics snapshot JSON (BB_METRICS env fallback)
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -26,63 +25,31 @@
 #include "src/flow/faultsim.hpp"
 #include "src/minimalist/cache.hpp"
 #include "src/obs/session.hpp"
-#include "src/util/io.hpp"
-#include "src/util/strings.hpp"
-
-namespace {
-
-[[noreturn]] void usage() {
-  std::cerr << "usage: bb-faultsim [design...] [--seed N] [--stuck-at N] "
-               "[--bit-flips N] [--delay-runs N] [--json FILE] "
-               "[--unoptimized] [--trace FILE] [--metrics FILE]\n"
-               "built-in designs: systolic wagging stack ssem\n";
-  std::exit(2);
-}
-
-}  // namespace
+#include "src/tools/cli.hpp"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> designs;
   std::string json_path;
-  std::string trace_path;
-  std::string metrics_path;
+  bool unoptimized = false;
   bb::flow::CampaignOptions campaign;
-  bb::flow::FlowOptions options = bb::flow::FlowOptions::optimized();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      campaign.seed = static_cast<std::uint64_t>(bb::util::parse_int(
-          "bb-faultsim", "--seed", argv[++i], 0,
-          std::numeric_limits<long long>::max()));
-    } else if (arg == "--stuck-at" && i + 1 < argc) {
-      campaign.random_stuck_at = static_cast<int>(
-          bb::util::parse_int("bb-faultsim", "--stuck-at", argv[++i], 0, 1000000));
-    } else if (arg == "--bit-flips" && i + 1 < argc) {
-      campaign.bit_flips = static_cast<int>(
-          bb::util::parse_int("bb-faultsim", "--bit-flips", argv[++i], 0, 1000000));
-    } else if (arg == "--delay-runs" && i + 1 < argc) {
-      campaign.delay_runs = static_cast<int>(
-          bb::util::parse_int("bb-faultsim", "--delay-runs", argv[++i], 0, 1000000));
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--unoptimized") {
-      options = bb::flow::FlowOptions::unoptimized();
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg.rfind("--", 0) == 0) {
-      usage();
-    } else {
-      designs.push_back(arg);
-    }
-  }
+  bb::tools::Cli cli("bb-faultsim", "[design...]", 0,
+                     std::numeric_limits<std::size_t>::max(),
+                     "built-in designs: systolic wagging stack ssem");
+  cli.integer("--seed", 0, std::numeric_limits<long long>::max(),
+              &campaign.seed)
+      .integer("--stuck-at", 0, 1000000, &campaign.random_stuck_at)
+      .integer("--bit-flips", 0, 1000000, &campaign.bit_flips)
+      .integer("--delay-runs", 0, 1000000, &campaign.delay_runs)
+      .text("--json", "FILE", &json_path)
+      .flag("--unoptimized", &unoptimized)
+      .observability();
+  std::vector<std::string> designs = cli.parse(argc, argv);
   if (designs.empty()) {
     designs = {"systolic", "wagging", "stack", "ssem"};
   }
-  bb::obs::Session session(bb::obs::env_or(trace_path, "BB_TRACE"),
-                           bb::obs::env_or(metrics_path, "BB_METRICS"));
+  bb::obs::Session session(cli.trace_path(), cli.metrics_path());
+  bb::flow::FlowOptions options = unoptimized
+                                      ? bb::flow::FlowOptions::unoptimized()
+                                      : bb::flow::FlowOptions::optimized();
 
   // The campaign re-synthesizes each design once per faulted run; its
   // own cache keeps that to one synthesis per controller.
@@ -93,10 +60,7 @@ int main(int argc, char** argv) {
     const auto result =
         bb::flow::run_fault_campaign(designs, options, campaign);
     std::cout << result.to_text();
-    if (!json_path.empty()) {
-      bb::util::write_file_atomic(json_path, result.to_json() + "\n");
-      std::cout << "wrote " << json_path << "\n";
-    }
+    bb::tools::write_json_artifact(json_path, result.to_json());
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "bb-faultsim: " << e.what() << "\n";

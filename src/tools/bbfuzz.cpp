@@ -27,13 +27,11 @@
 //   --no-conformance    disable the trace-conformance oracle
 //   --json FILE         write the campaign JSON artifact (atomic)
 //   --repro-dir DIR     write minimized reproducers here
-//
-// BB_TRACE / BB_METRICS, when set, name a Chrome trace-event JSON and a
-// metrics snapshot to write for the run.
+//   --trace FILE        Chrome trace-event JSON (BB_TRACE env fallback)
+//   --metrics FILE      metrics snapshot JSON (BB_METRICS env fallback)
 //
 // Exit status: 0 all cases clean, 1 discrepancy found (or internal
 // error), 2 usage.
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -41,91 +39,44 @@
 #include "src/fuzz/campaign.hpp"
 #include "src/fuzz/proto.hpp"
 #include "src/obs/session.hpp"
-#include "src/util/io.hpp"
-#include "src/util/strings.hpp"
-
-namespace {
-
-[[noreturn]] void usage() {
-  std::cerr << "usage: bb-fuzz [--seed N] [--count N] [--size N] "
-               "[--mode balsa|netlist|both|proto] [--time-budget-ms N] "
-               "[--max-states N] [--no-sim] [--no-conformance] "
-               "[--json FILE] [--repro-dir DIR]\n";
-  std::exit(2);
-}
-
-}  // namespace
+#include "src/tools/cli.hpp"
 
 int main(int argc, char** argv) {
   bb::fuzz::FuzzOptions options;
-  bool proto_mode = false;
+  std::string mode = "both";
   std::string json_path;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      options.seed = static_cast<std::uint64_t>(
-          bb::util::parse_int("bb-fuzz", "--seed", argv[++i], 0,
-                              std::numeric_limits<long long>::max()));
-    } else if (arg == "--count" && i + 1 < argc) {
-      options.count = static_cast<int>(
-          bb::util::parse_int("bb-fuzz", "--count", argv[++i], 0, 1000000));
-    } else if (arg == "--size" && i + 1 < argc) {
-      options.size = static_cast<int>(
-          bb::util::parse_int("bb-fuzz", "--size", argv[++i], 1, 1000));
-    } else if (arg == "--mode" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "balsa") {
-        options.netlist_mode = false;
-      } else if (mode == "netlist") {
-        options.balsa_mode = false;
-      } else if (mode == "proto") {
-        proto_mode = true;
-      } else if (mode != "both") {
-        usage();
-      }
-    } else if (arg == "--time-budget-ms" && i + 1 < argc) {
-      options.time_budget_ms =
-          bb::util::parse_int("bb-fuzz", "--time-budget-ms", argv[++i], 0,
-                              std::numeric_limits<long long>::max());
-    } else if (arg == "--max-states" && i + 1 < argc) {
-      options.max_states = static_cast<int>(
-          bb::util::parse_int("bb-fuzz", "--max-states", argv[++i], 2, 100000));
-    } else if (arg == "--no-sim") {
-      options.sim_oracle = false;
-    } else if (arg == "--no-conformance") {
-      options.conformance_oracle = false;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--repro-dir" && i + 1 < argc) {
-      options.repro_dir = argv[++i];
-    } else {
-      usage();
-    }
-  }
-  bb::obs::Session session(bb::obs::env_or("", "BB_TRACE"),
-                           bb::obs::env_or("", "BB_METRICS"));
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  bb::tools::Cli cli("bb-fuzz", "", 0, 0);
+  cli.integer("--seed", 0, kMax, &options.seed)
+      .integer("--count", 0, 1000000, &options.count)
+      .integer("--size", 1, 1000, &options.size)
+      .choice("--mode", {"balsa", "netlist", "both", "proto"}, &mode)
+      .integer("--time-budget-ms", 0, kMax, &options.time_budget_ms)
+      .integer("--max-states", 2, 100000, &options.max_states)
+      .flag("--no-sim", &options.sim_oracle, false)
+      .flag("--no-conformance", &options.conformance_oracle, false)
+      .text("--json", "FILE", &json_path)
+      .text("--repro-dir", "DIR", &options.repro_dir)
+      .observability();
+  cli.parse(argc, argv);
+  options.balsa_mode = mode != "netlist";
+  options.netlist_mode = mode != "balsa";
+  bb::obs::Session session(cli.trace_path(), cli.metrics_path());
 
   try {
-    if (proto_mode) {
+    if (mode == "proto") {
       bb::fuzz::ProtoFuzzOptions popts;
       popts.seed = options.seed;
       popts.count = options.count;
       popts.time_budget_ms = options.time_budget_ms;
       const bb::fuzz::ProtoFuzzResult result = bb::fuzz::run_proto_fuzz(popts);
       std::cout << result.to_text();
-      if (!json_path.empty()) {
-        bb::util::write_file_atomic(json_path, result.to_json() + "\n");
-        std::cout << "wrote " << json_path << "\n";
-      }
+      bb::tools::write_json_artifact(json_path, result.to_json());
       return result.violations > 0 ? 1 : 0;
     }
     const bb::fuzz::FuzzResult result = bb::fuzz::run_fuzz_campaign(options);
     std::cout << result.to_text();
-    if (!json_path.empty()) {
-      bb::util::write_file_atomic(json_path, result.to_json() + "\n");
-      std::cout << "wrote " << json_path << "\n";
-    }
+    bb::tools::write_json_artifact(json_path, result.to_json());
     return result.discrepancies > 0 ? 1 : 0;
   } catch (const std::exception& e) {
     std::cerr << "bb-fuzz: " << e.what() << "\n";

@@ -24,13 +24,13 @@
 //           [--severity RULE=SEV[,...]] [--baseline FILE]
 //           [--write-baseline FILE] [--max-warnings N] [--no-analyze]
 //           [--unoptimized] [--max-states N] [--fanout-limit N]
-//           [--suppress ID[,ID...]]
+//           [--suppress ID[,ID...]] [--trace FILE] [--metrics FILE]
 //
 // Exit status: 0 clean, 1 Error-severity findings (or warnings above
 // --max-warnings, or a stage crashed), 2 usage.
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,45 +42,11 @@
 #include "src/lint/lint.hpp"
 #include "src/lint/sarif.hpp"
 #include "src/obs/session.hpp"
+#include "src/tools/cli.hpp"
+#include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 
 namespace {
-
-[[noreturn]] void usage() {
-  std::cerr
-      << "usage: bb-lint <file.balsa|design|all> [--json] [--sarif FILE]\n"
-         "               [--severity RULE=SEV[,...]] [--baseline FILE]\n"
-         "               [--write-baseline FILE] [--max-warnings N]\n"
-         "               [--no-analyze] [--unoptimized] [--max-states N]\n"
-         "               [--fanout-limit N] [--suppress ID[,ID...]]\n"
-         "built-in designs: systolic wagging stack ssem (or 'all')\n"
-         "SEV is one of: note, warning, error\n";
-  std::exit(2);
-}
-
-std::string load_source(const std::string& arg) {
-  for (const auto* d : bb::designs::all_designs()) {
-    if (d->name == arg) return d->source;
-  }
-  std::ifstream file(arg);
-  if (!file) {
-    std::cerr << "bb-lint: cannot open '" << arg
-              << "' (and it is not a built-in design)\n";
-    std::exit(1);
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
-}
-
-bb::lint::Severity parse_severity(const std::string& name) {
-  if (name == "note") return bb::lint::Severity::kNote;
-  if (name == "warning") return bb::lint::Severity::kWarning;
-  if (name == "error") return bb::lint::Severity::kError;
-  std::cerr << "bb-lint: unknown severity '" << name
-            << "' (expected note, warning or error)\n";
-  std::exit(2);
-}
 
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
@@ -94,81 +60,78 @@ void write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string target = argv[1];
-
   bool json = false;
+  bool analyze = true;
+  bool unoptimized = false;
   std::string sarif_path;
   std::string baseline_path;
   std::string write_baseline_path;
+  std::vector<std::string> severities;
+  std::vector<std::string> suppressions;
   long long max_warnings = -1;  // -1 = unlimited
-  bb::flow::FlowOptions options = bb::flow::FlowOptions::optimized();
-  options.analyze = true;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--json") {
-      json = true;
-    } else if (flag == "--sarif" && i + 1 < argc) {
-      sarif_path = argv[++i];
-    } else if (flag == "--severity" && i + 1 < argc) {
-      std::stringstream entries(argv[++i]);
-      std::string entry;
-      while (std::getline(entries, entry, ',')) {
-        const std::size_t eq = entry.find('=');
-        if (eq == std::string::npos || eq == 0) usage();
-        options.lint_options.severity.emplace_back(
-            entry.substr(0, eq), parse_severity(entry.substr(eq + 1)));
+  bb::flow::FlowOptions tuning;  // --max-states lands here
+  bb::lint::LintOptions lint_options;
+  bb::tools::Cli cli("bb-lint", "<file.balsa|design|all>", 1, 1,
+                     "built-in designs: systolic wagging stack ssem (or "
+                     "'all')\nSEV is one of: note, warning, error");
+  cli.flag("--json", &json)
+      .text("--sarif", "FILE", &sarif_path)
+      .text("--severity", "RULE=SEV[,...]", &severities)
+      .text("--baseline", "FILE", &baseline_path)
+      .text("--write-baseline", "FILE", &write_baseline_path)
+      .integer("--max-warnings", 0, 1000000000, &max_warnings)
+      .flag("--no-analyze", &analyze, false)
+      .flag("--unoptimized", &unoptimized)
+      .integer("--max-states", 0, 1000000, &tuning.max_states)
+      .integer("--fanout-limit", 0, 1000000, &lint_options.fanout_limit)
+      .text("--suppress", "ID[,ID...]", &suppressions)
+      .observability();
+  const std::string target = cli.parse(argc, argv)[0];
+
+  for (const std::string& list : severities) {
+    for (const std::string& entry : bb::util::split(list, ",")) {
+      const std::size_t eq = entry.find('=');
+      if (eq == std::string::npos || eq == 0) {
+        cli.fail("--severity expects RULE=SEV, got '" + entry + "'");
       }
-    } else if (flag == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (flag == "--write-baseline" && i + 1 < argc) {
-      write_baseline_path = argv[++i];
-    } else if (flag == "--max-warnings" && i + 1 < argc) {
-      max_warnings =
-          bb::util::parse_int("bb-lint", "--max-warnings", argv[++i], 0,
-                              1000000000);
-    } else if (flag == "--no-analyze") {
-      options.analyze = false;
-    } else if (flag == "--unoptimized") {
-      const bool keep_analyze = options.analyze;
-      auto keep_lint_options = options.lint_options;
-      options = bb::flow::FlowOptions::unoptimized();
-      options.analyze = keep_analyze;
-      options.lint_options = std::move(keep_lint_options);
-    } else if (flag == "--max-states" && i + 1 < argc) {
-      options.max_states = static_cast<int>(
-          bb::util::parse_int("bb-lint", "--max-states", argv[++i], 0, 1000000));
-    } else if (flag == "--fanout-limit" && i + 1 < argc) {
-      options.lint_options.fanout_limit = static_cast<int>(bb::util::parse_int(
-          "bb-lint", "--fanout-limit", argv[++i], 0, 1000000));
-    } else if (flag == "--suppress" && i + 1 < argc) {
-      std::stringstream rules(argv[++i]);
-      std::string rule;
-      while (std::getline(rules, rule, ',')) {
-        if (!rule.empty()) options.lint_options.suppress.push_back(rule);
+      const std::string name = entry.substr(eq + 1);
+      bb::lint::Severity severity = bb::lint::Severity::kError;
+      if (name == "note") {
+        severity = bb::lint::Severity::kNote;
+      } else if (name == "warning") {
+        severity = bb::lint::Severity::kWarning;
+      } else if (name != "error") {
+        cli.fail("unknown severity '" + name +
+                 "' (expected note, warning or error)");
       }
-    } else {
-      usage();
+      lint_options.severity.emplace_back(entry.substr(0, eq), severity);
     }
   }
-
+  for (const std::string& list : suppressions) {
+    for (const std::string& rule : bb::util::split(list, ",")) {
+      lint_options.suppress.push_back(rule);
+    }
+  }
   if (!baseline_path.empty()) {
-    std::ifstream file(baseline_path);
-    if (!file) {
+    const auto text = bb::util::read_file(baseline_path);
+    if (!text) {
       std::cerr << "bb-lint: cannot open baseline '" << baseline_path
                 << "'\n";
       return 1;
     }
-    std::ostringstream text;
-    text << file.rdbuf();
-    options.lint_options.baseline = bb::lint::parse_baseline(text.str());
+    lint_options.baseline = bb::lint::parse_baseline(*text);
   }
 
-  // Tracing/metrics are env-only here (BB_TRACE/BB_METRICS); the lint
-  // flow mirrors synthesize_control's IR chain, so the spans line up
-  // with bbbc's.
-  bb::obs::Session session(bb::obs::env_or("", "BB_TRACE"),
-                           bb::obs::env_or("", "BB_METRICS"));
+  bb::flow::FlowOptions options = unoptimized
+                                      ? bb::flow::FlowOptions::unoptimized()
+                                      : bb::flow::FlowOptions::optimized();
+  options.analyze = analyze;
+  options.max_states = tuning.max_states;
+  options.lint_options = std::move(lint_options);
+
+  // The lint flow mirrors synthesize_control's IR chain, so the spans
+  // line up with bbbc's.
+  bb::obs::Session session(cli.trace_path(), cli.metrics_path());
 
   std::vector<std::string> names;
   if (target == "all") {
@@ -184,7 +147,8 @@ int main(int argc, char** argv) {
     for (const std::string& name : names) {
       // A source may declare several procedures; each is an independent
       // unit with its own netlist, so lint them one by one.
-      const auto procedures = bb::balsa::parse_program(load_source(name));
+      const auto procedures =
+          bb::balsa::parse_program(bb::tools::load_design("bb-lint", name));
       for (const auto& procedure : procedures) {
         const std::string label =
             procedures.size() > 1 ? name + ":" + procedure.name : name;

@@ -27,7 +27,7 @@
 //                       record per request (BB_LOG env fallback)
 //   --slow-ms N         attach a request's spans to its event-log record
 //                       when it runs at least N ms (BB_SLOW_MS fallback;
-//                       negative = off, the default)
+//                       -1 = off, the default)
 //   --span-ring N       per-thread span-ring capacity in events for the
 //                       live `trace` op (default 16384)
 //   --project-dir DIR   root directory for incremental-build projects
@@ -46,15 +46,14 @@
 // SIGINT/SIGTERM (or a "shutdown" request) drain in-flight work, flush
 // replies, and exit 0.
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string>
 
+#include "src/incr/build.hpp"
 #include "src/obs/session.hpp"
-#include "src/serve/disk_cache.hpp"
 #include "src/serve/server.hpp"
-#include "src/util/strings.hpp"
+#include "src/tools/cli.hpp"
 
 namespace {
 
@@ -64,90 +63,34 @@ void on_signal(int) {
   if (g_server != nullptr) g_server->stop();  // atomic flag only
 }
 
-[[noreturn]] void usage() {
-  std::cerr << "usage: bb-served --socket PATH [--jobs N] [--max-inflight N]"
-               " [--cache-dir DIR] [--cache-max-mb N] [--memory-entries N]"
-               " [--work-budget N] [--line-timeout-ms N] [--log FILE]"
-               " [--slow-ms N] [--span-ring N] [--no-live-trace]"
-               " [--project-dir DIR] [--trace FILE] [--metrics FILE]\n";
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bb::serve::ServerOptions options;
-  std::string trace_path;
-  std::string metrics_path;
-  if (const char* dir = std::getenv("BB_CACHE_DIR")) options.cache_dir = dir;
-  if (const char* mb = std::getenv("BB_CACHE_MAX_MB")) {
-    const auto parsed = bb::util::parse_ll(mb);
-    if (parsed && *parsed > 0) {
-      options.cache_max_bytes = static_cast<std::uint64_t>(*parsed) << 20;
-    }
-  }
-  if (const char* log = std::getenv("BB_LOG")) options.log_path = log;
-  if (const char* proj = std::getenv("BB_PROJECT_DIR")) {
-    options.project_dir = proj;
-  }
-  if (const char* slow = std::getenv("BB_SLOW_MS")) {
-    if (const auto parsed = bb::util::parse_ll(slow)) {
-      options.slow_ms = static_cast<int>(*parsed);
-    }
-  }
+  std::uint64_t cache_max_mb = options.cache_max_bytes >> 20;
+  bb::tools::Cli cli("bb-served", "", 0, 0);
+  cli.text("--socket", "PATH", &options.socket_path)
+      .integer("--jobs", 0, 4096, &options.jobs)
+      .integer("--max-inflight", 1, 1000000, &options.max_inflight)
+      .text("--cache-dir", "DIR", &options.cache_dir, "BB_CACHE_DIR")
+      .integer("--cache-max-mb", 1, 1 << 20, &cache_max_mb, "BB_CACHE_MAX_MB")
+      .integer("--memory-entries", 1, 100000000,
+               &options.memory_cache_entries)
+      .integer("--work-budget", 0, std::numeric_limits<long long>::max(),
+               &options.default_work_budget)
+      .integer("--line-timeout-ms", 0, 86400000, &options.line_timeout_ms)
+      .text("--log", "FILE", &options.log_path, "BB_LOG")
+      .integer("--slow-ms", -1, 86400000, &options.slow_ms, "BB_SLOW_MS")
+      .integer("--span-ring", 1024, 1 << 20, &options.span_ring)
+      .flag("--no-live-trace", &options.live_trace, false)
+      .text("--project-dir", "DIR", &options.project_dir,
+            bb::incr::kProjectDirEnv)
+      .observability();
+  cli.parse(argc, argv);
+  if (options.socket_path.empty()) cli.fail("--socket is required");
+  options.cache_max_bytes = cache_max_mb << 20;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--socket" && i + 1 < argc) {
-      options.socket_path = argv[++i];
-    } else if (flag == "--jobs" && i + 1 < argc) {
-      options.jobs = static_cast<int>(
-          bb::util::parse_int("bb-served", "--jobs", argv[++i], 0, 4096));
-    } else if (flag == "--max-inflight" && i + 1 < argc) {
-      options.max_inflight = static_cast<int>(bb::util::parse_int(
-          "bb-served", "--max-inflight", argv[++i], 1, 1000000));
-    } else if (flag == "--cache-dir" && i + 1 < argc) {
-      options.cache_dir = argv[++i];
-    } else if (flag == "--cache-max-mb" && i + 1 < argc) {
-      options.cache_max_bytes =
-          static_cast<std::uint64_t>(bb::util::parse_int(
-              "bb-served", "--cache-max-mb", argv[++i], 1, 1 << 20))
-          << 20;
-    } else if (flag == "--memory-entries" && i + 1 < argc) {
-      options.memory_cache_entries =
-          static_cast<std::size_t>(bb::util::parse_int(
-              "bb-served", "--memory-entries", argv[++i], 1, 100000000));
-    } else if (flag == "--work-budget" && i + 1 < argc) {
-      options.default_work_budget = bb::util::parse_int(
-          "bb-served", "--work-budget", argv[++i], 0,
-          std::numeric_limits<long long>::max());
-    } else if (flag == "--line-timeout-ms" && i + 1 < argc) {
-      options.line_timeout_ms = static_cast<int>(bb::util::parse_int(
-          "bb-served", "--line-timeout-ms", argv[++i], 0, 86400000));
-    } else if (flag == "--log" && i + 1 < argc) {
-      options.log_path = argv[++i];
-    } else if (flag == "--slow-ms" && i + 1 < argc) {
-      options.slow_ms = static_cast<int>(bb::util::parse_int(
-          "bb-served", "--slow-ms", argv[++i], -1, 86400000));
-    } else if (flag == "--span-ring" && i + 1 < argc) {
-      options.span_ring = static_cast<std::size_t>(bb::util::parse_int(
-          "bb-served", "--span-ring", argv[++i], 1024, 1 << 20));
-    } else if (flag == "--project-dir" && i + 1 < argc) {
-      options.project_dir = argv[++i];
-    } else if (flag == "--no-live-trace") {
-      options.live_trace = false;
-    } else if (flag == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (flag == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
-      usage();
-    }
-  }
-  if (options.socket_path.empty()) usage();
-
-  bb::obs::Session session(bb::obs::env_or(trace_path, "BB_TRACE"),
-                           bb::obs::env_or(metrics_path, "BB_METRICS"));
+  bb::obs::Session session(cli.trace_path(), cli.metrics_path());
   try {
     bb::serve::Server server(std::move(options));
     g_server = &server;

@@ -31,19 +31,13 @@
 
 #include "src/serve/client.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/tools/cli.hpp"
 #include "src/util/json.hpp"
 #include "src/util/json_parse.hpp"
-#include "src/util/strings.hpp"
 
 namespace {
 
 using bb::util::JsonValue;
-
-[[noreturn]] void usage() {
-  std::cerr << "usage: bb-top --socket PATH [--interval-ms N] [--count N]"
-               " [--once] [--no-clear]\n";
-  std::exit(2);
-}
 
 /// One sampled frame: the decoded stats and metrics replies plus the
 /// moment they were taken.
@@ -217,25 +211,14 @@ int main(int argc, char** argv) {
   long long count = 0;
   bool clear = true;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (flag == "--interval-ms" && i + 1 < argc) {
-      interval_ms = static_cast<int>(bb::util::parse_int(
-          "bb-top", "--interval-ms", argv[++i], 10, 3600000));
-    } else if (flag == "--count" && i + 1 < argc) {
-      count = bb::util::parse_int("bb-top", "--count", argv[++i], 0,
-                                  std::numeric_limits<long long>::max());
-    } else if (flag == "--once") {
-      count = 1;
-    } else if (flag == "--no-clear") {
-      clear = false;
-    } else {
-      usage();
-    }
-  }
-  if (socket_path.empty()) usage();
+  bb::tools::Cli cli("bb-top", "", 0, 0);
+  cli.text("--socket", "PATH", &socket_path)
+      .integer("--interval-ms", 10, 3600000, &interval_ms)
+      .integer("--count", 0, std::numeric_limits<long long>::max(), &count)
+      .flag("--once", [&count] { count = 1; })
+      .flag("--no-clear", &clear, false);
+  cli.parse(argc, argv);
+  if (socket_path.empty()) cli.fail("--socket is required");
 
   Sample prev;
   bool have_prev = false;

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -91,6 +93,15 @@ bool send_all(int fd, std::string_view data) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (in.bad()) return std::nullopt;
+  return buf.str();
 }
 
 void write_file_atomic(const std::string& path, const std::string& content) {

@@ -2,6 +2,7 @@
 // tier, the benchmark runners and the tool binaries.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -9,6 +10,10 @@
 #include <sys/types.h>
 
 namespace bb::util {
+
+/// Reads the whole of `path` as bytes.  nullopt when the file cannot be
+/// opened (missing, permissions, a racing delete) or the read fails.
+std::optional<std::string> read_file(const std::string& path);
 
 /// Writes `content` to `path` atomically and durably: the data goes to a
 /// sibling temporary file first, is fsync'd, and is renamed over the

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <iostream>
 
 namespace bb::util {
 
@@ -85,16 +84,14 @@ std::optional<long long> parse_ll(std::string_view s) {
   return value;
 }
 
-long long parse_int(const char* tool, const char* flag, const char* value,
-                    long long min, long long max) {
-  const auto parsed = parse_ll(value != nullptr ? value : "");
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::cerr << tool << ": " << flag << " expects an integer in [" << min
-              << ", " << max << "], got '" << (value != nullptr ? value : "")
-              << "'\n";
-    std::exit(2);
+std::uint64_t resolve_seed(std::uint64_t seed) {
+  if (seed != 0) return seed;
+  if (const char* env = std::getenv("BB_SEED")) {
+    if (const auto n = parse_ll(env); n && *n > 0) {
+      return static_cast<std::uint64_t>(*n);
+    }
   }
-  return *parsed;
+  return 1;
 }
 
 }  // namespace bb::util

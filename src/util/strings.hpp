@@ -1,6 +1,7 @@
 // String utilities shared across the back-end tools.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,11 +37,8 @@ std::string replace_all(std::string_view s, std::string_view from,
 /// return 0.
 std::optional<long long> parse_ll(std::string_view s);
 
-/// argv helper for CLI tools: parses `value` as an integer in
-/// [min, max].  On garbage or out-of-range input it prints
-/// "<tool>: <flag> expects an integer in [min, max], got '<value>'" to
-/// stderr and exits with status 2 (the tools' usage-error status).
-long long parse_int(const char* tool, const char* flag, const char* value,
-                    long long min, long long max);
+/// The seed a run uses: `seed` when non-zero, else the BB_SEED
+/// environment variable when it is a positive integer, else 1.
+std::uint64_t resolve_seed(std::uint64_t seed);
 
 }  // namespace bb::util

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "src/balsa/compile.hpp"
@@ -392,6 +393,33 @@ TEST_F(IncrTest, ColdThenWarmThenEditRebuildsExactlyTheDirtyUnit) {
   const auto full = incr::build(kProgramEdited, scratch.str(), options);
   EXPECT_EQ(edited.verilog, full.verilog);
   EXPECT_EQ(edited.report, full.report);
+}
+
+TEST_F(IncrTest, ANoOpBuildLeavesTheManifestUntouched) {
+  const auto cold = incr::build(kProgram, dir.str(), options);
+  EXPECT_EQ(cold.full_rebuild_reason, "no manifest");
+  const std::string path = incr::manifest_path(dir.str());
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+  const auto warm = incr::build(kProgram, dir.str(), options);
+  EXPECT_EQ(warm.units_reused, 2u);
+  EXPECT_TRUE(warm.manifest_stored);
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino) << "a no-op build wrote the manifest";
+  EXPECT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+  EXPECT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+
+  // An edit build still publishes a new manifest.
+  const auto edited = incr::build(kProgramEdited, dir.str(), options);
+  EXPECT_EQ(edited.units_rebuilt, 1u);
+  EXPECT_TRUE(edited.manifest_stored);
+  struct stat replaced {};
+  ASSERT_EQ(::stat(path.c_str(), &replaced), 0);
+  EXPECT_NE(replaced.st_ino, before.st_ino);
+  const auto rewarmed = incr::build(kProgramEdited, dir.str(), options);
+  EXPECT_EQ(rewarmed.units_reused, 2u);
 }
 
 TEST_F(IncrTest, CorruptManifestDegradesToAFullRebuildNeverWrongOutput) {
