@@ -13,9 +13,9 @@
 namespace bb::flow {
 
 AnalyzeResult analyze_control(const hsnet::Netlist& netlist,
-                              const FlowOptions& options) {
+                              const FlowOptions& options,
+                              const lint::LintOptions& lopts, bool deep) {
   AnalyzeResult result;
-  const lint::LintOptions& lopts = options.lint_options;
   result.report = lint::make_report(lopts);
   result.report.merge(lint::lint_handshake(netlist, lopts));
 
@@ -25,8 +25,7 @@ AnalyzeResult analyze_control(const hsnet::Netlist& netlist,
   std::vector<ch::Program> programs;
   for (const int id : netlist.control_ids()) {
     const auto& component = netlist.component(id);
-    if (!options.cluster && options.templates &&
-        techmap::has_template(component.kind)) {
+    if (!options.cluster && techmap::has_template(component.kind)) {
       gates.merge(*techmap::template_circuit(component, lib));
       continue;
     }
@@ -45,7 +44,7 @@ AnalyzeResult analyze_control(const hsnet::Netlist& netlist,
     const auto& program = clustered[i].program;
     const bm::Spec spec = bm::compile(*program.body, program.name);
     result.report.merge(lint::lint_bm(spec, lopts));
-    if (options.analyze) {
+    if (deep) {
       result.report.merge(analyze::analyze_bm(spec, lopts));
       result.report.merge(analyze::analyze_petri(
           petri::from_ch(*program.body), program.name, lopts));
@@ -57,7 +56,7 @@ AnalyzeResult analyze_control(const hsnet::Netlist& netlist,
       result.report.merge(lint::lint_two_level(ctrl, *machine, lopts));
       const std::string prefix = "ctl" + std::to_string(i);
       auto mapped = techmap::map_controller(ctrl, lib, mopts, prefix);
-      if (options.analyze) {
+      if (deep) {
         result.report.merge(
             analyze::analyze_mapped(mapped, ctrl, prefix, lopts));
       }

@@ -27,11 +27,12 @@ struct AnalyzeResult {
 };
 
 /// Runs the full pass pipeline over one design.  The per-layer lint
-/// passes always run; options.analyze additionally enables the deep
-/// semantic passes (AN/PN/NL005-NL007).  options.lint_options
-/// (suppressions, severity overrides, baseline, limits) applies to every
-/// pass.
+/// passes always run; `deep` additionally enables the semantic passes
+/// (AN/PN/NL005-NL007).  `lint_options` (suppressions, severity
+/// overrides, baseline, limits) applies to every pass.
 AnalyzeResult analyze_control(const hsnet::Netlist& netlist,
-                              const FlowOptions& options);
+                              const FlowOptions& options,
+                              const lint::LintOptions& lint_options,
+                              bool deep);
 
 }  // namespace bb::flow

@@ -23,17 +23,12 @@ std::string why(sim::RunStatus status) {
   return " [run: " + std::string(sim::run_status_name(status)) + "]";
 }
 
-/// Applies the hooks and runs the simulation with the hook-overridden (or
-/// default) limits.
-sim::RunStatus launch(System& system, const BenchmarkHooks* hooks) {
-  if (hooks != nullptr && hooks->before_start) hooks->before_start(system);
-  const double max_ns =
-      hooks != nullptr && hooks->max_sim_ns > 0 ? hooks->max_sim_ns
-                                                : kMaxSimNs;
-  const std::uint64_t max_events =
-      hooks != nullptr && hooks->max_events > 0 ? hooks->max_events
-                                                : kMaxEvents;
-  return system.start().run_status(max_ns, max_events);
+using BeforeStart = std::function<void(System&)>;
+
+/// Runs `before_start` (when set), then the simulation.
+sim::RunStatus launch(System& system, const BeforeStart& before_start) {
+  if (before_start) before_start(system);
+  return system.start().run_status(kMaxSimNs, kMaxEvents);
 }
 
 void fill_common(BenchmarkResult& r, const System& system,
@@ -46,7 +41,7 @@ void fill_common(BenchmarkResult& r, const System& system,
 }
 
 BenchmarkResult bench_systolic(const FlowOptions& options,
-                               const BenchmarkHooks* hooks) {
+                               const BeforeStart& before_start) {
   BenchmarkResult r;
   r.design = "systolic";
   const auto net =
@@ -64,7 +59,7 @@ BenchmarkResult bench_systolic(const FlowOptions& options,
     if (k == 3) t3 = t;
   };
 
-  const auto status = launch(system, hooks);
+  const auto status = launch(system, before_start);
   r.status = status;
   fill_common(r, system, net);
   r.completed = carry.completed() >= 3 && count.completed() >= 24;
@@ -80,7 +75,7 @@ BenchmarkResult bench_systolic(const FlowOptions& options,
 }
 
 BenchmarkResult bench_wagging(const FlowOptions& options,
-                              const BenchmarkHooks* hooks) {
+                              const BeforeStart& before_start) {
   BenchmarkResult r;
   r.design = "wagging";
   const auto net =
@@ -101,7 +96,7 @@ BenchmarkResult bench_wagging(const FlowOptions& options,
     }
   };
 
-  const auto status = launch(system, hooks);
+  const auto status = launch(system, before_start);
   r.status = status;
   fill_common(r, system, net);
   r.completed = out.consumed() >= 1 && seen_first;
@@ -121,7 +116,7 @@ BenchmarkResult bench_wagging(const FlowOptions& options,
 }
 
 BenchmarkResult bench_stack(const FlowOptions& options,
-                            const BenchmarkHooks* hooks) {
+                            const BeforeStart& before_start) {
   BenchmarkResult r;
   r.design = "stack";
   const auto net = balsa::compile_source(designs::stack().source);
@@ -141,7 +136,7 @@ BenchmarkResult bench_stack(const FlowOptions& options,
   });
   PushServer pop(system, "pop");
 
-  const auto status = launch(system, hooks);
+  const auto status = launch(system, before_start);
   r.status = status;
   fill_common(r, system, net);
   r.completed = pop.consumed() >= 3;
@@ -161,7 +156,7 @@ BenchmarkResult bench_stack(const FlowOptions& options,
 }
 
 BenchmarkResult bench_ssem(const FlowOptions& options,
-                           const BenchmarkHooks* hooks) {
+                           const BeforeStart& before_start) {
   BenchmarkResult r;
   r.design = "ssem";
   const auto net = balsa::compile_source(designs::ssem().source);
@@ -170,7 +165,7 @@ BenchmarkResult bench_ssem(const FlowOptions& options,
   ActivateDriver activate(system, "activate");
   SsemMemory memory(system, designs::ssem_benchmark_program());
 
-  const auto status = launch(system, hooks);
+  const auto status = launch(system, before_start);
   r.status = status;
   fill_common(r, system, net);
   r.completed = activate.done();
@@ -197,13 +192,13 @@ BenchmarkResult bench_ssem(const FlowOptions& options,
 
 BenchmarkResult run_benchmark(const std::string& design,
                               const FlowOptions& options,
-                              const BenchmarkHooks* hooks) {
+                              const BeforeStart& before_start) {
   obs::Span span("flow.benchmark", obs::kCatFlow);
   span.arg("design", design);
-  if (design == "systolic") return bench_systolic(options, hooks);
-  if (design == "wagging") return bench_wagging(options, hooks);
-  if (design == "stack") return bench_stack(options, hooks);
-  if (design == "ssem") return bench_ssem(options, hooks);
+  if (design == "systolic") return bench_systolic(options, before_start);
+  if (design == "wagging") return bench_wagging(options, before_start);
+  if (design == "stack") return bench_stack(options, before_start);
+  if (design == "ssem") return bench_ssem(options, before_start);
   throw std::invalid_argument("unknown design '" + design + "'");
 }
 

@@ -14,18 +14,6 @@ namespace bb::flow {
 
 class System;
 
-/// Instrumentation points for run_benchmark, used by the fault-injection
-/// campaign (flow/faultsim.hpp).  `before_start` runs after the System is
-/// built (synthesis done, all nets known) and before System::start(), so
-/// callers can attach fault plans and extra monitor processes; anything
-/// those closures reference must outlive the run_benchmark call.  Limits
-/// of 0 keep the benchmark defaults.
-struct BenchmarkHooks {
-  std::function<void(System&)> before_start;
-  double max_sim_ns = 0.0;
-  std::uint64_t max_events = 0;
-};
-
 struct BenchmarkResult {
   std::string design;
   bool ok = false;         ///< protocol completed and results were correct
@@ -42,10 +30,14 @@ struct BenchmarkResult {
   int components = 0;      ///< handshake components before clustering
 };
 
-/// Runs one design ("systolic", "wagging", "stack", "ssem").
-BenchmarkResult run_benchmark(const std::string& design,
-                              const FlowOptions& options,
-                              const BenchmarkHooks* hooks = nullptr);
+/// Runs one design ("systolic", "wagging", "stack", "ssem").  When set,
+/// `before_start` runs after the System is built (synthesis done, all
+/// nets known) and before System::start(), so the fault-injection
+/// campaign (flow/faultsim.hpp) can attach fault plans and extra monitor
+/// processes; anything it references must outlive the call.
+BenchmarkResult run_benchmark(
+    const std::string& design, const FlowOptions& options,
+    const std::function<void(System&)>& before_start = {});
 
 /// A Table 3 row: both flows plus the derived improvement/overhead.
 struct Table3Row {

@@ -18,6 +18,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/opt/cluster.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/json.hpp"
 #include "src/sim/fault.hpp"
 #include "src/trace/automaton.hpp"
@@ -179,7 +180,7 @@ std::string fmt_double(double v) {
 
 /// Runs one faulted simulation and classifies it.
 FaultRun execute(const std::string& design, const FlowOptions& options,
-                 const CampaignOptions& campaign, const PlannedFault& pf,
+                 const PlannedFault& pf,
                  const std::vector<TrustedMonitor>& trusted) {
   obs::Span span("faultsim.run", obs::kCatFault);
   span.arg("design", design);
@@ -190,10 +191,7 @@ FaultRun execute(const std::string& design, const FlowOptions& options,
 
   std::optional<sim::FaultPlan> plan;
   std::vector<std::pair<std::unique_ptr<TraceMonitor>, std::size_t>> monitors;
-  BenchmarkHooks hooks;
-  hooks.max_sim_ns = campaign.max_sim_ns;
-  hooks.max_events = campaign.max_events;
-  hooks.before_start = [&](System& system) {
+  const auto before_start = [&](System& system) {
     plan.emplace(system.gates());
     pf.apply(*plan);
     system.set_fault_plan(&*plan);
@@ -216,7 +214,7 @@ FaultRun execute(const std::string& design, const FlowOptions& options,
   bool crashed = false;
   BenchmarkResult result;
   try {
-    result = run_benchmark(design, options, &hooks);
+    result = run_benchmark(design, options, before_start);
   } catch (const std::exception& e) {
     crashed = true;
     run.outcome = FaultOutcome::kCrash;
@@ -258,15 +256,16 @@ FaultRun execute(const std::string& design, const FlowOptions& options,
   return run;
 }
 
-/// FNV-1a, to give each design its own PRNG stream under one seed.
+/// FNV-1a, to give each design its own PRNG stream under one seed (the
+/// basis fuzz/oracle.cpp's mix_channel uses).
 std::uint64_t mix_design(std::uint64_t seed, const std::string& design) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : design) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return seed ^ h;
+  return seed ^ util::fnv1a64(design, 1469598103934665603ull);
 }
+
+/// A delay-perturbation run scales every gate delay by kDelayScale and
+/// adds seeded jitter drawn from [-kDelayJitterNs, +kDelayJitterNs].
+constexpr double kDelayScale = 1.5;
+constexpr double kDelayJitterNs = 0.3;
 
 }  // namespace
 
@@ -315,10 +314,7 @@ DesignCampaign run_design_campaign(const std::string& design,
   std::vector<int> state_gates;  // C-element outputs: SEU targets
   std::map<std::string, int> targeted_gate;  // monitor -> driving gate
   std::vector<std::unique_ptr<TraceMonitor>> baseline_monitors;
-  BenchmarkHooks hooks;
-  hooks.max_sim_ns = campaign.max_sim_ns;
-  hooks.max_events = campaign.max_events;
-  hooks.before_start = [&](System& system) {
+  const auto before_start = [&](System& system) {
     const auto& gates = system.gates();
     num_gates = static_cast<int>(gates.gates().size());
     for (std::size_t g = 0; g < gates.gates().size(); ++g) {
@@ -344,7 +340,7 @@ DesignCampaign run_design_campaign(const std::string& design,
   const BenchmarkResult baseline = [&] {
     obs::Span span("faultsim.baseline", obs::kCatFault);
     span.arg("design", design);
-    return run_benchmark(design, options, &hooks);
+    return run_benchmark(design, options, before_start);
   }();
   dc.baseline_ok = baseline.ok;
 
@@ -413,19 +409,18 @@ DesignCampaign run_design_campaign(const std::string& design,
 
   for (int j = 0; j < campaign.delay_runs; ++j) {
     const std::uint64_t delay_seed = prng.next();
-    const double scale = campaign.delay_scale;
-    const double jitter = campaign.delay_jitter_ns;
     planned.push_back({"delay-perturbation",
-                       "delay-perturbation scale=" + fmt_double(scale) +
-                           " jitter=" + fmt_double(jitter) + "ns seed=" +
-                           std::to_string(delay_seed),
-                       [delay_seed, scale, jitter](sim::FaultPlan& plan) {
-                         plan.perturb_delays(delay_seed, scale, jitter);
+                       "delay-perturbation scale=" + fmt_double(kDelayScale) +
+                           " jitter=" + fmt_double(kDelayJitterNs) +
+                           "ns seed=" + std::to_string(delay_seed),
+                       [delay_seed](sim::FaultPlan& plan) {
+                         plan.perturb_delays(delay_seed, kDelayScale,
+                                             kDelayJitterNs);
                        }});
   }
 
   for (const PlannedFault& pf : planned) {
-    FaultRun run = execute(design, options, campaign, pf, trusted);
+    FaultRun run = execute(design, options, pf, trusted);
     ++dc.injected;
     if (run.detected) {
       ++dc.detected;

@@ -92,13 +92,9 @@ struct CampaignOptions {
   /// SEU bit flips per design, on state-holding (C-element) outputs when
   /// the design has any, otherwise on sampled gate outputs.
   int bit_flips = 3;
-  /// Whole-netlist delay-perturbation runs per design.
+  /// Whole-netlist delay-perturbation runs per design: every gate delay
+  /// scaled by 1.5, plus seeded jitter drawn from [-0.3, +0.3] ns.
   int delay_runs = 1;
-  double delay_scale = 1.5;
-  double delay_jitter_ns = 0.3;
-  /// Simulation limits for faulted runs; 0 = the benchmark defaults.
-  double max_sim_ns = 0.0;
-  std::uint64_t max_events = 0;
 };
 
 /// The seed a given options.seed resolves to (explicit wins, then the

@@ -3,18 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <optional>
 #include <stdexcept>
 
-#include "src/analyze/analyze.hpp"
 #include "src/bm/compile.hpp"
 #include "src/bm/validate.hpp"
 #include "src/hsnet/to_ch.hpp"
 #include "src/lint/diag.hpp"
-#include "src/petri/from_ch.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/json.hpp"
@@ -107,7 +104,6 @@ FlowOptions FlowOptions::unoptimized() {
   o.cluster = false;
   o.mode = minimalist::SynthMode::kArea;
   o.level_separated = false;
-  o.templates = true;
   return o;
 }
 
@@ -129,14 +125,10 @@ std::uint64_t effective_work_budget(const FlowOptions& options) {
     return static_cast<std::uint64_t>(options.work_budget);
   }
   if (options.work_budget < 0) return 0;
-  if (const char* env = std::getenv("BB_WORK_BUDGET")) {
-    // Structured parse, as for BB_JOBS: garbage or trailing text ("1e6",
-    // "10x") falls back to unlimited instead of a prefix-parsed cap.
-    if (const auto n = util::parse_ll(env); n.has_value() && *n > 0) {
-      return static_cast<std::uint64_t>(*n);
-    }
-  }
-  return 0;
+  // Garbage or trailing text ("1e6", "10x") falls back to unlimited
+  // instead of a prefix-parsed cap.
+  return static_cast<std::uint64_t>(
+      util::positive_env("BB_WORK_BUDGET").value_or(0));
 }
 
 ControlResult synthesize_control(const hsnet::Netlist& netlist,
@@ -169,7 +161,7 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
     obs::Span span("flow.lint.handshake", obs::kCatFlow,
                    &result.timings.lint_ms);
     absorb("handshake netlist '" + netlist.name() + "'",
-           lint::lint_handshake(netlist, options.lint_options));
+           lint::lint_handshake(netlist));
   }
 
   // Balsa-to-CH for every control component; in the template baseline,
@@ -179,8 +171,7 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
     obs::Span span("flow.to_ch", obs::kCatFlow, &result.timings.to_ch_ms);
     for (const int id : netlist.control_ids()) {
       const auto& component = netlist.component(id);
-      if (!options.cluster && options.templates &&
-          techmap::has_template(component.kind)) {
+      if (!options.cluster && techmap::has_template(component.kind)) {
         auto circuit = techmap::template_circuit(component, lib);
         ControllerInfo info;
         info.name = component.display_name() + " (template)";
@@ -370,19 +361,7 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
         obs::Span span("flow.lint.bm", obs::kCatFlow, &unit.timing.lint_ms);
         span.arg("controller", program.name);
         local_absorb("BM spec of controller '" + program.name + "'",
-                     lint::lint_bm(spec, options.lint_options));
-      }
-      if (options.lint && options.analyze) {
-        stage = FlowStage::kLint;
-        obs::Span span("flow.analyze.bm", obs::kCatFlow,
-                       &unit.timing.lint_ms);
-        span.arg("controller", program.name);
-        local_absorb("BM semantics of controller '" + program.name + "'",
-                     analyze::analyze_bm(spec, options.lint_options));
-        local_absorb("Petri net of controller '" + program.name + "'",
-                     analyze::analyze_petri(petri::from_ch(*program.body),
-                                            program.name,
-                                            options.lint_options));
+                     lint::lint_bm(spec));
       }
 
       stage = FlowStage::kSynthesis;
@@ -398,10 +377,10 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
           auto synthesized =
               cache != nullptr
                   ? minimalist::synthesize_cached(spec, options.mode, *cache,
-                                                  &unit.timing.cache_hit,
                                                   budget, &tier, &machine)
                   : minimalist::synthesize(spec, options.mode, budget,
                                            &machine);
+          unit.timing.cache_hit = tier != minimalist::CacheTier::kMiss;
           unit.timing.cache_disk = tier == minimalist::CacheTier::kDisk;
           span.arg("cache",
                    !unit.timing.cache_hit ? (cache != nullptr ? "miss" : "off")
@@ -421,9 +400,8 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
         span.arg("controller", program.name);
         local_absorb(
             "two-level logic of controller '" + program.name + "'",
-            machine ? lint::lint_two_level(ctrl, *machine,
-                                           options.lint_options)
-                    : lint::lint_two_level(ctrl, spec, options.lint_options));
+            machine ? lint::lint_two_level(ctrl, *machine)
+                    : lint::lint_two_level(ctrl, spec));
       }
       machine.reset();  // free the flow table before techmap's peak
 
@@ -434,16 +412,6 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
                        &unit.timing.techmap_ms);
         span.arg("controller", program.name);
         unit.gates = techmap::map_controller(ctrl, lib, mopts, unit.prefix);
-      }
-      if (options.lint && options.analyze) {
-        stage = FlowStage::kLint;
-        obs::Span span("flow.analyze.netlist", obs::kCatFlow,
-                       &unit.timing.lint_ms);
-        span.arg("controller", program.name);
-        local_absorb(
-            "mapped netlist of controller '" + program.name + "'",
-            analyze::analyze_mapped(*unit.gates, ctrl, unit.prefix,
-                                    options.lint_options));
       }
 
       unit.info.name = program.name;
@@ -551,7 +519,7 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
     obs::Span span("flow.lint.gates", obs::kCatFlow,
                    &result.timings.lint_ms);
     absorb("merged control netlist",
-           lint::lint_gates(result.gates, options.lint_options));
+           lint::lint_gates(result.gates));
   }
   result.area = result.gates.total_area();
   total_span.finish();

@@ -22,7 +22,10 @@
 namespace bb::flow {
 
 struct FlowOptions {
-  /// Run the paper's clustering optimizations (T1 + T2).
+  /// Run the paper's clustering optimizations (T1 + T2).  Off selects
+  /// the Balsa library baseline: the hand-optimized gate template for
+  /// every standard component that has one, the others synthesized per
+  /// `mode`.
   bool cluster = true;
   /// Minimalist mode: speed scripts for the optimized flow, area mode for
   /// the per-component baseline templates.
@@ -31,24 +34,12 @@ struct FlowOptions {
   bool level_separated = true;
   /// Reject clustered controllers above this many BM states (0 = no cap).
   int max_states = 40;
-  /// Use the hand-optimized gate templates for standard components (the
-  /// Balsa library baseline); components without a template are
-  /// synthesized per `mode`.  Only meaningful when cluster == false.
-  bool templates = false;
   /// Run the static-analysis passes (src/lint) over every intermediate
   /// representation.  Error-severity findings abort the flow with a
   /// LintError; warnings are collected in ControlResult::lint_report.
+  /// The deep semantic passes and per-rule settings belong to
+  /// analyze_control (flow/analyze.hpp).
   bool lint = true;
-  /// Additionally run the deep semantic passes (src/analyze): Burst-Mode
-  /// legality under the level-sensitive reading (AN), structural
-  /// Petri-net deadlock/liveness (PN), and the exhaustive mapped-cone
-  /// audit (NL005-NL007).  Off by default — the passes cost real time on
-  /// large controllers; bb-lint and the serve `analyze` op turn them on.
-  /// Requires lint == true; findings gate the flow exactly like lint
-  /// findings (errors abort with LintError).
-  bool analyze = false;
-  /// Suppression list and thresholds forwarded to the lint passes.
-  lint::LintOptions lint_options;
   /// Worker threads for the per-controller synthesis loop.  0 = auto
   /// (the BB_JOBS environment variable when set, otherwise the hardware
   /// concurrency); 1 forces the serial path.  Parallel output is merged
@@ -80,9 +71,9 @@ struct FlowOptions {
 
   /// The paper's optimized back-end configuration.
   static FlowOptions optimized();
-  /// The unoptimized Balsa baseline: per-component controllers compiled
-  /// as compact, area-efficient implementations (the hand-optimized
-  /// template library stand-in).
+  /// The unoptimized Balsa baseline: hand templates where the library
+  /// has them, the remaining per-component controllers compiled as
+  /// compact, area-efficient implementations.
   static FlowOptions unoptimized();
 };
 

@@ -8,6 +8,7 @@
 #include "src/balsa/compile.hpp"
 #include "src/balsa/printer.hpp"
 #include "src/fuzz/shrink.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/io.hpp"
 #include "src/util/json.hpp"
 #include "src/util/prng.hpp"
@@ -17,14 +18,13 @@ namespace bb::fuzz {
 
 namespace {
 
-/// FNV-1a over a case tag, so every case has an independent stream.
+/// Predicate-call budget per shrink.
+constexpr int kShrinkTests = 200;
+
+/// FNV-1a over a case tag, so every case has an independent stream (the
+/// basis oracle.cpp's mix_channel uses).
 std::uint64_t mix_case(std::uint64_t seed, const std::string& tag) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : tag) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return seed ^ h;
+  return seed ^ util::fnv1a64(tag, 1469598103934665603ull);
 }
 
 std::string one_line(std::string text) {
@@ -120,14 +120,14 @@ OracleResult check_design(const hsnet::Netlist& netlist,
     if (rank(next.verdict) > rank(worst.verdict)) worst = std::move(next);
   };
   if (options.sim_oracle) {
-    merge(differential_check(netlist, value_seed, options.sim_limits, cache));
+    merge(differential_check(netlist, value_seed, cache));
     if (worst.verdict == Verdict::kDiscrepancy) return worst;
     // A design both flows reject has no circuits to check conformance
     // on either; classify it once and stop.
     if (worst.verdict == Verdict::kRejected) return worst;
   }
   if (options.conformance_oracle) {
-    merge(conformance_check(netlist, options.max_states, options.state_limit));
+    merge(conformance_check(netlist, options.max_states));
   }
   return worst;
 }
@@ -252,7 +252,7 @@ class CampaignRunner {
             return r.verdict == Verdict::kDiscrepancy &&
                    failure_class(r) == wanted;
           },
-          options_.shrink_tests);
+          kShrinkTests);
       outcome = check(minimized);
       design = balsa::to_source(minimized);
     }
@@ -280,7 +280,7 @@ class CampaignRunner {
             return r.verdict == Verdict::kDiscrepancy &&
                    failure_class(r) == wanted;
           },
-          options_.shrink_tests);
+          kShrinkTests);
       outcome = check(minimized);
       design = recipe_to_text(minimized);
     }

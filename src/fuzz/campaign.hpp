@@ -40,13 +40,6 @@ struct FuzzOptions {
   bool conformance_oracle = true;
   /// Clustering state cap, as in FlowOptions::optimized().
   int max_states = 40;
-  /// Reachability bound for the conformance oracle.  Deliberately
-  /// small: a composition this size takes minutes to determinize, and
-  /// a counted skip is worth more than a stuck campaign.
-  std::size_t state_limit = 1u << 14;
-  SimLimits sim_limits;
-  /// Predicate-call budget per shrink.
-  int shrink_tests = 200;
   /// When non-empty, minimized reproducers are written here (the
   /// directory must exist or be creatable).
   std::string repro_dir;

@@ -15,6 +15,7 @@
 #include "src/trace/automaton.hpp"
 #include "src/trace/spec_lts.hpp"
 #include "src/trace/verify.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/prng.hpp"
 #include "src/util/strings.hpp"
 
@@ -22,15 +23,21 @@ namespace bb::fuzz {
 
 namespace {
 
+/// Simulation limits of one observe() run.
+constexpr double kMaxSimNs = 200000.0;
+constexpr std::uint64_t kMaxSimEvents = 4'000'000;
+
+/// Reachability bound for the conformance oracle.  Deliberately small: a
+/// composition this size takes minutes to determinize, and a counted
+/// skip is worth more than a stuck campaign.
+constexpr std::size_t kStateLimit = 1u << 14;
+
 /// FNV-1a, so every channel gets its own value stream under one seed
-/// (the same per-stream trick flow/faultsim.cpp uses per design).
+/// (the same per-stream trick flow/faultsim.cpp uses per design).  The
+/// basis is one digit short of FNV's standard offset basis; it stays so
+/// existing seeds keep their value streams.
 std::uint64_t mix_channel(std::uint64_t seed, const std::string& channel) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : channel) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return seed ^ h;
+  return seed ^ util::fnv1a64(channel, 1469598103934665603ull);
 }
 
 /// +1 when the circuit pushes the external data channel (output port),
@@ -80,7 +87,7 @@ std::string SimObservation::describe() const {
 
 SimObservation observe(const hsnet::Netlist& netlist,
                        const flow::FlowOptions& options,
-                       std::uint64_t value_seed, const SimLimits& limits) {
+                       std::uint64_t value_seed) {
   SimObservation obs;
   try {
     flow::System system(netlist, options);
@@ -121,8 +128,7 @@ SimObservation observe(const hsnet::Netlist& netlist,
     }
 
     sim::Simulator& sim = system.start();
-    const sim::RunStatus status =
-        sim.run_status(limits.max_ns, limits.max_events);
+    const sim::RunStatus status = sim.run_status(kMaxSimNs, kMaxSimEvents);
     obs.status = std::string(sim::run_status_name(status));
     obs.completed = activate.done() && status == sim::RunStatus::kQuiescent;
     for (std::size_t i = 0; i < sync_names.size(); ++i) {
@@ -186,7 +192,6 @@ std::string_view verdict_name(Verdict verdict) {
 
 OracleResult differential_check(const hsnet::Netlist& netlist,
                                 std::uint64_t value_seed,
-                                const SimLimits& limits,
                                 minimalist::SynthCache* cache) {
   OracleResult result;
   result.oracle = "sim";
@@ -195,9 +200,9 @@ OracleResult differential_check(const hsnet::Netlist& netlist,
   optimized_options.cache_instance = cache;
   baseline_options.cache_instance = cache;
   const SimObservation optimized =
-      observe(netlist, optimized_options, value_seed, limits);
+      observe(netlist, optimized_options, value_seed);
   const SimObservation baseline =
-      observe(netlist, baseline_options, value_seed, limits);
+      observe(netlist, baseline_options, value_seed);
 
   if (optimized.flow_error && baseline.flow_error) {
     result.verdict = Verdict::kRejected;
@@ -320,8 +325,8 @@ ClusterMembers cluster_members(const hsnet::Netlist& netlist,
   return out;
 }
 
-OracleResult conformance_check(const hsnet::Netlist& netlist, int max_states,
-                               std::size_t state_limit) {
+OracleResult conformance_check(const hsnet::Netlist& netlist,
+                               int max_states) {
   OracleResult result;
   result.oracle = "conformance";
   int skipped = 0;
@@ -343,7 +348,7 @@ OracleResult conformance_check(const hsnet::Netlist& netlist, int max_states,
         try {
           const ClusterMembers cm = cluster_members(netlist, originals, cp);
           const trace::VerifyResult vr = trace::verify_composition(
-              cm.members, cm.hidden, *cp.program.body, state_limit);
+              cm.members, cm.hidden, *cp.program.body, kStateLimit);
           if (!vr.equivalent) {
             result.verdict = Verdict::kDiscrepancy;
             result.controller = cp.program.name;
@@ -363,7 +368,7 @@ OracleResult conformance_check(const hsnet::Netlist& netlist, int max_states,
         const trace::Dfa spec_dfa =
             trace::determinize(trace::bm_spec_lts(spec));
         const trace::Dfa ch_dfa = trace::determinize(
-            petri::from_ch(*cp.program.body).reachability(state_limit));
+            petri::from_ch(*cp.program.body).reachability(kStateLimit));
         const std::vector<std::string> cex =
             trace::containment_counterexample(spec_dfa, ch_dfa);
         if (!cex.empty()) {

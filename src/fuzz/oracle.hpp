@@ -47,17 +47,13 @@ struct SimObservation {
   std::string describe() const;
 };
 
-struct SimLimits {
-  double max_ns = 200000.0;
-  std::uint64_t max_events = 4'000'000;
-};
-
 /// Flow + simulate one design variant.  `value_seed` drives the
 /// per-channel input value streams (FNV-mixed with the channel name, so
-/// every channel has its own deterministic stream).
+/// every channel has its own deterministic stream).  The simulation
+/// stops at 200 us or 4 M events, whichever comes first.
 SimObservation observe(const hsnet::Netlist& netlist,
                        const flow::FlowOptions& options,
-                       std::uint64_t value_seed, const SimLimits& limits = {});
+                       std::uint64_t value_seed);
 
 /// "" when the observations agree; otherwise a one-line description of
 /// the first difference.
@@ -86,7 +82,6 @@ struct OracleResult {
 /// shares one across its cases); nullptr = no memo.
 OracleResult differential_check(const hsnet::Netlist& netlist,
                                 std::uint64_t value_seed,
-                                const SimLimits& limits = {},
                                 minimalist::SynthCache* cache = nullptr);
 
 /// The member programs of one multi-member clustered controller and the
@@ -107,10 +102,10 @@ ClusterMembers cluster_members(const hsnet::Netlist& netlist,
 /// Runs the conformance oracle: re-derives the clustering for the
 /// design's control partition and checks every multi-member controller
 /// against its composed members, plus every controller against its BM
-/// machine's trace language.  `state_limit` bounds each reachability
-/// exploration; blowing it yields kSkipped, never a silent pass.
+/// machine's trace language.  Each reachability exploration is bounded
+/// at 2^14 states; blowing the bound yields kSkipped, never a silent
+/// pass.
 OracleResult conformance_check(const hsnet::Netlist& netlist,
-                               int max_states = 40,
-                               std::size_t state_limit = 1u << 14);
+                               int max_states = 40);
 
 }  // namespace bb::fuzz

@@ -37,8 +37,8 @@ void accumulate(flow::StageTimings* total, const flow::StageTimings& unit) {
 
 std::string options_fingerprint(const flow::FlowOptions& options) {
   // Every field here changes what bytes a successful build emits (or
-  // whether it succeeds at all, for the lint configuration — a reused
-  // unit must never hide a finding a rebuild would have gated on).
+  // whether it succeeds at all, for the lint switch — a reused unit must
+  // never hide a finding a rebuild would have gated on).
   std::string image;
   image += "cluster " + std::to_string(options.cluster) + "\n";
   image += std::string("mode ") +
@@ -48,25 +48,10 @@ std::string options_fingerprint(const flow::FlowOptions& options) {
   image += "level_separated " + std::to_string(options.level_separated) +
            "\n";
   image += "max_states " + std::to_string(options.max_states) + "\n";
-  image += "templates " + std::to_string(options.templates) + "\n";
   image += "lint " + std::to_string(options.lint) + "\n";
-  image += "analyze " + std::to_string(options.analyze) + "\n";
   image += "strict " + std::to_string(options.strict) + "\n";
   image += "work_budget " +
            std::to_string(flow::effective_work_budget(options)) + "\n";
-  const lint::LintOptions& lo = options.lint_options;
-  image += "fanout_limit " + std::to_string(lo.fanout_limit) + "\n";
-  image += "cone_eval_limit " + std::to_string(lo.cone_eval_limit) + "\n";
-  for (const std::string& rule : lo.suppress) {
-    image += "suppress " + rule + "\n";
-  }
-  for (const auto& [rule, severity] : lo.severity) {
-    image += "severity " + rule + "=" +
-             std::string(lint::severity_name(severity)) + "\n";
-  }
-  for (const lint::BaselineEntry& entry : lo.baseline) {
-    image += "baseline " + entry.rule + "\t" + entry.object + "\n";
-  }
   return util::content_digest(image);
 }
 
@@ -168,8 +153,8 @@ BuildResult build(std::string_view source, const std::string& project_dir,
 
     // The template baseline reports one info record per controller; the
     // synthesis path times each clustered controller.
-    record.controllers = options.templates ? result.info.size()
-                                           : result.timings.controllers.size();
+    record.controllers = !options.cluster ? result.info.size()
+                                          : result.timings.controllers.size();
     record.report = flow::report(result);
     record.verilog = netlist::to_verilog(result.gates);
     unit_span.finish();

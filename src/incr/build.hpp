@@ -74,8 +74,8 @@ struct BuildResult {
 };
 
 /// Deterministic fingerprint of every FlowOptions field that can change
-/// output bytes (clustering, mode, state cap, templates, lint and
-/// analysis configuration, strictness, effective work budget).  Fields
+/// output bytes (clustering, mode, state cap, the lint switch,
+/// strictness, effective work budget).  Fields
 /// proven byte-neutral — jobs and cache_instance — are excluded, so
 /// turning the cache off or changing the worker count never dirties a
 /// project.

@@ -150,19 +150,12 @@ void SynthCache::clear() {
 }
 
 SynthesizedController synthesize_cached(
-    const bm::Spec& spec, SynthMode mode, SynthCache& cache, bool* hit,
+    const bm::Spec& spec, SynthMode mode, SynthCache& cache,
     util::WorkBudget* budget, CacheTier* tier,
     std::optional<MachineSpec>* machine) {
-  CacheTier local_tier = CacheTier::kMiss;
-  if (auto cached = cache.lookup(spec, mode, &local_tier)) {
-    if (hit) *hit = true;
-    if (tier) *tier = local_tier;
-    return std::move(*cached);
-  }
+  if (auto cached = cache.lookup(spec, mode, tier)) return std::move(*cached);
   SynthesizedController ctrl = synthesize(spec, mode, budget, machine);
   cache.store(spec, mode, ctrl);
-  if (hit) *hit = false;
-  if (tier) *tier = CacheTier::kMiss;
   return ctrl;
 }
 

@@ -146,8 +146,8 @@ class SynthCache {
 };
 
 /// synthesize() through `cache`: looks up first, synthesizes and stores
-/// on a miss.  `hit` (when non-null) reports which path was taken and
-/// `tier` which tier answered.  `budget` is only consulted on the miss
+/// on a miss.  `tier` (when non-null) reports which tier answered, kMiss
+/// when synthesis ran.  `budget` is only consulted on the miss
 /// path — a cache hit costs no budgeted work, so a controller that would
 /// blow its budget uncached can still succeed when a structurally
 /// identical twin seeded the cache.  `machine` (when non-null) receives
@@ -155,7 +155,7 @@ class SynthCache {
 /// untouched.
 SynthesizedController synthesize_cached(
     const bm::Spec& spec, SynthMode mode, SynthCache& cache,
-    bool* hit = nullptr, util::WorkBudget* budget = nullptr,
-    CacheTier* tier = nullptr, std::optional<MachineSpec>* machine = nullptr);
+    util::WorkBudget* budget = nullptr, CacheTier* tier = nullptr,
+    std::optional<MachineSpec>* machine = nullptr);
 
 }  // namespace bb::minimalist

@@ -270,16 +270,19 @@ struct Server::Impl {
     return out;
   }
 
-  std::string execute_synthesize(const Request& req, std::string* cache_tier) {
-    std::string source = req.source;
-    if (!req.design.empty()) {
-      try {
-        source = designs::design(req.design).source;
-      } catch (const std::out_of_range&) {
-        throw std::runtime_error("unknown design '" + req.design + "'");
-      }
+  /// The request's Balsa source: the named built-in design when it names
+  /// one, the inline source otherwise.
+  static std::string request_source(const Request& req) {
+    if (req.design.empty()) return req.source;
+    try {
+      return designs::design(req.design).source;
+    } catch (const std::out_of_range&) {
+      throw std::runtime_error("unknown design '" + req.design + "'");
     }
-    const auto net = balsa::compile_source(source);
+  }
+
+  std::string execute_synthesize(const Request& req, std::string* cache_tier) {
+    const auto net = balsa::compile_source(request_source(req));
     const flow::FlowOptions options = apply_options(
         req.options, this->options.default_work_budget, &cache);
     const auto result = flow::synthesize_control(net, options);
@@ -323,18 +326,17 @@ struct Server::Impl {
     }
     const auto mode = req.mode == "area" ? minimalist::SynthMode::kArea
                                          : minimalist::SynthMode::kSpeed;
-    const long long budget_ops = req.options.work_budget
-                                     ? *req.options.work_budget
-                                     : options.default_work_budget;
+    const flow::FlowOptions fopts =
+        apply_options(req.options, options.default_work_budget, &cache);
     std::optional<util::WorkBudget> budget;
-    if (budget_ops > 0) {
-      budget.emplace(static_cast<std::uint64_t>(budget_ops));
+    if (const std::uint64_t ops = flow::effective_work_budget(fopts)) {
+      budget.emplace(ops);
     }
     minimalist::CacheTier tier = minimalist::CacheTier::kMiss;
-    const bool use_cache = req.options.cache.value_or(true);
+    const bool use_cache = fopts.cache_instance != nullptr;
     const minimalist::SynthesizedController ctrl =
         use_cache ? minimalist::synthesize_cached(
-                        spec, mode, cache, nullptr,
+                        spec, mode, *fopts.cache_instance,
                         budget ? &*budget : nullptr, &tier)
                   : minimalist::synthesize(spec, mode,
                                            budget ? &*budget : nullptr);
@@ -390,24 +392,15 @@ struct Server::Impl {
   }
 
   std::string execute_analyze(const Request& req) {
-    std::string source = req.source;
-    std::string name = req.design;
-    if (!req.design.empty()) {
-      try {
-        source = designs::design(req.design).source;
-      } catch (const std::out_of_range&) {
-        throw std::runtime_error("unknown design '" + req.design + "'");
-      }
-    }
-    const auto net = balsa::compile_source(source);
-    flow::FlowOptions options = apply_options(
+    const auto net = balsa::compile_source(request_source(req));
+    const flow::FlowOptions options = apply_options(
         req.options, this->options.default_work_budget, &cache);
-    options.analyze = !req.options.no_analyze;
-    const flow::AnalyzeResult analyzed = flow::analyze_control(net, options);
+    const flow::AnalyzeResult analyzed =
+        flow::analyze_control(net, options, {}, !req.options.no_analyze);
 
     util::JsonWriter w;
     w.begin_object();
-    if (!name.empty()) w.member("design", name);
+    if (!req.design.empty()) w.member("design", req.design);
     w.member("errors", static_cast<std::uint64_t>(
                            analyzed.report.count(lint::Severity::kError)));
     w.member("warnings", static_cast<std::uint64_t>(
@@ -417,7 +410,7 @@ struct Server::Impl {
     w.end_array();
     w.key("lint").raw(analyzed.report.to_json());
     if (req.options.sarif) {
-      w.member("sarif", lint::to_sarif(analyzed.report, name));
+      w.member("sarif", lint::to_sarif(analyzed.report, req.design));
     }
     w.end_object();
     return w.str();

@@ -47,7 +47,8 @@ struct ServerOptions {
   std::string cache_dir;
   std::uint64_t cache_max_bytes = kDefaultCacheMaxBytes;
   /// Work-budget deadline applied to requests that do not carry their
-  /// own (0 = unlimited).
+  /// own (0 = the BB_WORK_BUDGET environment variable, else unlimited;
+  /// flow::effective_work_budget).
   long long default_work_budget = 0;
   /// In-memory tier entry cap (SynthCache::set_max_entries).
   std::size_t memory_cache_entries = minimalist::SynthCache::kDefaultMaxEntries;

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> severities;
   std::vector<std::string> suppressions;
   long long max_warnings = -1;  // -1 = unlimited
-  bb::flow::FlowOptions tuning;  // --max-states lands here
+  int max_states = bb::flow::FlowOptions().max_states;
   bb::lint::LintOptions lint_options;
   bb::tools::Cli cli("bb-lint", "<file.balsa|design|all>", 1, 1,
                      "built-in designs: systolic wagging stack ssem (or "
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       .integer("--max-warnings", 0, 1000000000, &max_warnings)
       .flag("--no-analyze", &analyze, false)
       .flag("--unoptimized", &unoptimized)
-      .integer("--max-states", 0, 1000000, &tuning.max_states)
+      .integer("--max-states", 0, 1000000, &max_states)
       .integer("--fanout-limit", 0, 1000000, &lint_options.fanout_limit)
       .text("--suppress", "ID[,ID...]", &suppressions)
       .observability();
@@ -125,9 +125,7 @@ int main(int argc, char** argv) {
   bb::flow::FlowOptions options = unoptimized
                                       ? bb::flow::FlowOptions::unoptimized()
                                       : bb::flow::FlowOptions::optimized();
-  options.analyze = analyze;
-  options.max_states = tuning.max_states;
-  options.lint_options = std::move(lint_options);
+  options.max_states = max_states;
 
   // The lint flow mirrors synthesize_control's IR chain, so the spans
   // line up with bbbc's.
@@ -153,7 +151,8 @@ int main(int argc, char** argv) {
         const std::string label =
             procedures.size() > 1 ? name + ":" + procedure.name : name;
         const auto net = bb::balsa::compile(procedure);
-        auto analyzed = bb::flow::analyze_control(net, options);
+        auto analyzed =
+            bb::flow::analyze_control(net, options, lint_options, analyze);
         if (json) {
           std::cout << analyzed.report.to_json() << "\n";
         } else {

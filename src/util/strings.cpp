@@ -84,14 +84,16 @@ std::optional<long long> parse_ll(std::string_view s) {
   return value;
 }
 
+std::optional<long long> positive_env(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return std::nullopt;
+  const auto n = parse_ll(env);
+  return n && *n > 0 ? n : std::nullopt;
+}
+
 std::uint64_t resolve_seed(std::uint64_t seed) {
   if (seed != 0) return seed;
-  if (const char* env = std::getenv("BB_SEED")) {
-    if (const auto n = parse_ll(env); n && *n > 0) {
-      return static_cast<std::uint64_t>(*n);
-    }
-  }
-  return 1;
+  return static_cast<std::uint64_t>(positive_env("BB_SEED").value_or(1));
 }
 
 }  // namespace bb::util

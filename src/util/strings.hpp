@@ -37,6 +37,11 @@ std::string replace_all(std::string_view s, std::string_view from,
 /// return 0.
 std::optional<long long> parse_ll(std::string_view s);
 
+/// The environment variable `name` when it holds a positive integer
+/// (parse_ll rules), else nullopt: an unset or malformed value falls
+/// back silently to the caller's default.
+std::optional<long long> positive_env(const char* name);
+
 /// The seed a run uses: `seed` when non-zero, else the BB_SEED
 /// environment variable when it is a positive integer, else 1.
 std::uint64_t resolve_seed(std::uint64_t seed);

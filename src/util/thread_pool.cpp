@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -71,14 +70,11 @@ void ThreadPool::worker_loop() {
 std::size_t ThreadPool::recommended_jobs() {
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const std::size_t hw = hw_raw > 0 ? hw_raw : 1;
-  if (const char* env = std::getenv("BB_JOBS")) {
-    // Structured parse (no bare strtol): garbage or trailing text falls
-    // through to the hardware default, values are clamped to
-    // [1, hardware_concurrency] — a BB_JOBS beyond the machine only adds
-    // contention to the synthesis loop.
-    if (const auto n = parse_ll(env); n.has_value() && *n > 0) {
-      return std::min(static_cast<std::size_t>(*n), hw);
-    }
+  // Garbage or trailing text falls through to the hardware default;
+  // values are clamped to [1, hardware_concurrency] — a BB_JOBS beyond
+  // the machine only adds contention to the synthesis loop.
+  if (const auto n = positive_env("BB_JOBS")) {
+    return std::min(static_cast<std::size_t>(*n), hw);
   }
   return hw;
 }

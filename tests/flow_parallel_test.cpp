@@ -218,13 +218,13 @@ TEST(SynthCache, RebindsNamesPositionally) {
   ASSERT_EQ(spec_a.to_canonical(), spec_b.to_canonical());
 
   minimalist::SynthCache cache;
-  bool hit = true;
+  minimalist::CacheTier tier = minimalist::CacheTier::kMemory;
   const auto first = minimalist::synthesize_cached(
-      spec_a, minimalist::SynthMode::kSpeed, cache, &hit);
-  EXPECT_FALSE(hit);
+      spec_a, minimalist::SynthMode::kSpeed, cache, nullptr, &tier);
+  EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
   const auto second = minimalist::synthesize_cached(
-      spec_b, minimalist::SynthMode::kSpeed, cache, &hit);
-  EXPECT_TRUE(hit);
+      spec_b, minimalist::SynthMode::kSpeed, cache, nullptr, &tier);
+  EXPECT_NE(tier, minimalist::CacheTier::kMiss);
 
   const auto fresh = minimalist::synthesize(spec_b,
                                             minimalist::SynthMode::kSpeed);
@@ -242,13 +242,15 @@ TEST(SynthCache, ModeIsPartOfTheKey) {
       *ch::parse("(rep (enc-early (p-to-p passive a) (p-to-p active b)))"),
       "m");
   minimalist::SynthCache cache;
-  bool hit = true;
+  minimalist::CacheTier tier = minimalist::CacheTier::kMemory;
   minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, cache,
-                                &hit);
-  EXPECT_FALSE(hit);
+                                nullptr, &tier);
+  EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
+  tier = minimalist::CacheTier::kMemory;
   minimalist::synthesize_cached(spec, minimalist::SynthMode::kArea, cache,
-                                &hit);
-  EXPECT_FALSE(hit) << "area-mode synthesis must not reuse a speed entry";
+                                nullptr, &tier);
+  EXPECT_EQ(tier, minimalist::CacheTier::kMiss)
+      << "area-mode synthesis must not reuse a speed entry";
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 

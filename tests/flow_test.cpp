@@ -141,24 +141,11 @@ TEST(Flow, EachFlowTableIsExtractedOnce) {
   }
 }
 
-TEST(Flow, AnalyzeGateRunsDeepPassesCleanOnSystolic) {
-  const auto net =
-      balsa::compile_source(designs::systolic_counter().source);
-  // The in-flow gate: analyze=true runs the AN/PN/NL semantic passes on
-  // every controller and aborts on errors; the paper designs are clean,
-  // so synthesis must succeed with the gate enabled.
-  FlowOptions options = FlowOptions::optimized();
-  options.analyze = true;
-  const auto result = synthesize_control(net, options);
-  EXPECT_EQ(result.controllers.size(), 1u);
-}
-
 TEST(Flow, AnalyzeControlCollectsFindingsWithoutAborting) {
   const auto net =
       balsa::compile_source(designs::systolic_counter().source);
-  FlowOptions options = FlowOptions::optimized();
-  options.analyze = true;
-  const AnalyzeResult analyzed = analyze_control(net, options);
+  const AnalyzeResult analyzed = analyze_control(
+      net, FlowOptions::optimized(), lint::LintOptions{}, /*deep=*/true);
   EXPECT_EQ(analyzed.report.count(lint::Severity::kError), 0u)
       << analyzed.report.to_text();
   EXPECT_EQ(analyzed.report.count(lint::Severity::kWarning), 0u)

@@ -566,9 +566,8 @@ namespace {
 std::size_t reference_controllers(const balsa::Procedure& procedure,
                                   const flow::FlowOptions& options) {
   const auto net = balsa::compile(procedure);
-  if (options.templates && !options.cluster) return net.control_ids().size();
+  if (!options.cluster) return net.control_ids().size();
   auto programs = hsnet::control_programs(net);
-  if (!options.cluster) return programs.size();
   opt::ClusterOptions copts;
   copts.max_states = options.max_states;
   return opt::optimize(std::move(programs), copts).size();
@@ -602,7 +601,7 @@ TEST(IncrControllers, CountsMatchAReclusteringReference) {
   for (const flow::FlowOptions& options :
        {flow::FlowOptions::optimized(), flow::FlowOptions::unoptimized()}) {
     for (const auto& [name, source] : corpus) {
-      SCOPED_TRACE(name + (options.templates ? " unoptimized" : " optimized"));
+      SCOPED_TRACE(name + (options.cluster ? " optimized" : " unoptimized"));
       TempDir dir("count");
       const auto procedures = balsa::parse_program(source);
       const auto cold = incr::build(source, dir.str(), options);

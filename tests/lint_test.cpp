@@ -17,6 +17,7 @@
 #include "src/bm/validate.hpp"
 #include "src/ch/parser.hpp"
 #include "src/designs/designs.hpp"
+#include "src/flow/analyze.hpp"
 #include "src/flow/flow.hpp"
 #include "src/hsnet/to_ch.hpp"
 #include "src/lint/diag.hpp"
@@ -632,14 +633,19 @@ TEST(LintFlow, LintCanBeDisabled) {
   EXPECT_TRUE(result.lint_report.empty());
 }
 
-TEST(LintFlow, SuppressionFlowsThroughFlowOptions) {
+TEST(LintFlow, SuppressionReachesAnalyzeControl) {
   hsnet::Netlist net("broken");
   net.declare_channel("a", 0, /*external=*/true);
   net.add(make(ComponentKind::kLoop, {"a", "b"}));
-  auto options = flow::FlowOptions::optimized();
-  options.lint_options.suppress = {"HS001"};
-  const auto result = flow::synthesize_control(net, options);
-  EXPECT_FALSE(result.lint_report.has_errors());
+  LintOptions lint_options;
+  const auto has_errors = [&] {
+    return flow::analyze_control(net, flow::FlowOptions::optimized(),
+                                 lint_options, /*deep=*/false)
+        .report.has_errors();
+  };
+  EXPECT_TRUE(has_errors());
+  lint_options.suppress = {"HS001"};
+  EXPECT_FALSE(has_errors());
 }
 
 }  // namespace

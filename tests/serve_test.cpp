@@ -366,10 +366,10 @@ TEST(SynthCacheTiers, DiskTierPersistsAcrossCacheInstances) {
     minimalist::SynthCache mem;
     mem.set_backing_store(&disk);
     minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
-                                  nullptr, nullptr, &tier);
+                                  nullptr, &tier);
     EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
     minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
-                                  nullptr, nullptr, &tier);
+                                  nullptr, &tier);
     EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
   }
   // A fresh memory tier (daemon restart) hits the disk tier, and the
@@ -377,13 +377,13 @@ TEST(SynthCacheTiers, DiskTierPersistsAcrossCacheInstances) {
   minimalist::SynthCache mem;
   mem.set_backing_store(&disk);
   const auto cached = minimalist::synthesize_cached(
-      spec, minimalist::SynthMode::kSpeed, mem, nullptr, nullptr, &tier);
+      spec, minimalist::SynthMode::kSpeed, mem, nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kDisk);
   EXPECT_EQ(cached.to_sol(), wire_ctrl().to_sol());
   EXPECT_EQ(mem.stats().disk_hits, 1u);
   // The disk hit was promoted into memory.
   minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
-                                nullptr, nullptr, &tier);
+                                nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
 }
 
@@ -398,7 +398,7 @@ TEST(SynthCacheTiers, MemoryTierEvictsLruAtCap) {
   // Touch `wire` so `seq` is the least recently used...
   minimalist::CacheTier tier;
   minimalist::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache,
-                                nullptr, nullptr, &tier);
+                                nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
   // ...and a third entry evicts `seq`, not `wire`.
   minimalist::synthesize_cached(wire_area, minimalist::SynthMode::kArea,
@@ -406,10 +406,10 @@ TEST(SynthCacheTiers, MemoryTierEvictsLruAtCap) {
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 2u);
   minimalist::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache,
-                                nullptr, nullptr, &tier);
+                                nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
   minimalist::synthesize_cached(seq, minimalist::SynthMode::kSpeed, cache,
-                                nullptr, nullptr, &tier);
+                                nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMiss) << "seq should be evicted";
 }
 
@@ -702,6 +702,40 @@ TEST(Server, AnalyzeOpReportsLintAndSarif) {
   EXPECT_EQ(lint->get_int("schema_version", -1), 1);
   EXPECT_NE(result->get_string("sarif").find("\"2.1.0\""),
             std::string::npos);
+}
+
+TEST(Server, WorkBudgetEnvReachesSynthesizeBm) {
+  // synthesize_bm resolves its budget through flow::effective_work_budget,
+  // as synthesize does: BB_WORK_BUDGET caps a request that names none,
+  // and the request's own work_budget (-1 = unlimited) wins over it.
+  TempDir dir("bm-budget");
+  serve::ServerOptions options;
+  options.socket_path = (dir.path / "bb.sock").string();
+  RunningServer running(options);
+  serve::Client client(options.socket_path);
+  const auto status = [&](const std::string& id, bool unlimited) {
+    bb::util::JsonWriter w;
+    w.begin_object();
+    w.member("schema_version", serve::kProtocolVersion);
+    w.member("id", id);
+    w.member("op", "synthesize_bm");
+    w.member("bms", kSeqBms);
+    w.key("options").begin_object();
+    w.member("cache", false);
+    if (unlimited) w.member("work_budget", static_cast<std::int64_t>(-1));
+    w.end_object();
+    w.end_object();
+    const auto doc = util::parse_json(client.roundtrip(w.str(), 60000));
+    if (!doc.has_value()) return std::string("unparsable reply");
+    const util::JsonValue* error = doc->get("error");
+    return doc->get_string("status") +
+           (error != nullptr ? " " + error->get_string("rule") : "");
+  };
+  setenv("BB_WORK_BUDGET", "1", 1);
+  EXPECT_EQ(status("capped", false), "error FL002");
+  EXPECT_EQ(status("explicit", true), "ok");
+  unsetenv("BB_WORK_BUDGET");
+  EXPECT_EQ(status("unset", false), "ok");
 }
 
 TEST(Server, ShedsLoadWhenAdmissionIsFull) {
