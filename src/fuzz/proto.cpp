@@ -197,7 +197,7 @@ ProtoFuzzResult run_proto_fuzz(const ProtoFuzzOptions& options) {
 
   // The valid codec document mutations start from: one real serialized
   // controller (a 2-state wire handshake — tiny but structurally
-  // complete: version line, signal tables, cube lists).
+  // complete: codec version, signal tables, cube lists).
   const std::string codec_base = serve::serialize_controller(
       minimalist::synthesize(bm::parse_bms("name w\n"
                                            "input r 0\n"

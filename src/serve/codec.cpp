@@ -1,247 +1,169 @@
 #include "src/serve/codec.hpp"
 
-#include <cstdio>
-
-#include "src/util/strings.hpp"
+#include "src/util/json.hpp"
+#include "src/util/json_parse.hpp"
 
 namespace bb::serve {
 
 namespace {
 
-/// Renders a bit vector as a '0'/'1' string, "-" when empty (so every
-/// record occupies exactly one line even for state-free controllers).
+using Controller = minimalist::SynthesizedController;
+using Kind = util::JsonValue::Kind;
+
+/// A variable count above this means a corrupt entry; rejected before
+/// any allocation sized by it.
+constexpr std::int64_t kMaxVars = 1000000;
+
 std::string bits_to_string(const std::vector<bool>& bits) {
-  if (bits.empty()) return "-";
   std::string s;
   s.reserve(bits.size());
   for (const bool b : bits) s += b ? '1' : '0';
   return s;
 }
 
-bool bits_from_string(std::string_view s, std::vector<bool>& out) {
-  out.clear();
-  if (s == "-") return true;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '0') {
-      out.push_back(false);
-    } else if (c == '1') {
-      out.push_back(true);
-    } else {
+/// Reads a '0'/'1' string member; false on any other type or character.
+bool bits_from(const util::JsonValue* v, std::vector<bool>& out) {
+  if (v == nullptr || !v->is_string()) return false;
+  out.reserve(v->string.size());
+  for (const char c : v->string) {
+    if (c != '0' && c != '1') return false;
+    out.push_back(c == '1');
+  }
+  return true;
+}
+
+/// The member `key` when present with kind `kind`, else nullptr.
+const util::JsonValue* typed(const util::JsonValue& obj, std::string_view key,
+                             Kind kind) {
+  const util::JsonValue* v = obj.get(key);
+  return v != nullptr && v->kind == kind ? v : nullptr;
+}
+
+/// A "num_vars" member within [0, kMaxVars].
+std::optional<std::size_t> num_vars_of(const util::JsonValue& obj) {
+  const std::int64_t n = obj.get_int("num_vars", -1);
+  if (n < 0 || n > kMaxVars) return std::nullopt;
+  return static_cast<std::size_t>(n);
+}
+
+bool names_from(const util::JsonValue& obj, std::string_view key,
+                std::vector<std::string>& out) {
+  const util::JsonValue* list = typed(obj, key, Kind::kArray);
+  if (list == nullptr) return false;
+  out.reserve(list->array.size());
+  for (const util::JsonValue& name : list->array) {
+    if (!name.is_string()) return false;
+    out.push_back(name.string);
+  }
+  return true;
+}
+
+/// One function record; false on any defect.  A cube's width must be
+/// its function's num_vars and its literals '0', '1' or '-'.
+bool function_from(const util::JsonValue& v, minimalist::SolvedFunction& fn) {
+  const util::JsonValue* name = typed(v, "name", Kind::kString);
+  const util::JsonValue* state_bit = typed(v, "state_bit", Kind::kBool);
+  const util::JsonValue* cubes = typed(v, "cubes", Kind::kArray);
+  const auto num_vars = num_vars_of(v);
+  if (name == nullptr || state_bit == nullptr || cubes == nullptr ||
+      !num_vars) {
+    return false;
+  }
+  fn.name = name->string;
+  fn.is_state_bit = state_bit->bool_value;
+  std::vector<logic::Cube> parsed;
+  parsed.reserve(cubes->array.size());
+  for (const util::JsonValue& cube : cubes->array) {
+    if (!cube.is_string() || cube.string.size() != *num_vars ||
+        cube.string.find_first_not_of("01-") != std::string::npos) {
       return false;
     }
+    parsed.push_back(logic::Cube::parse(cube.string));
   }
+  fn.products = logic::Cover(*num_vars, std::move(parsed));
   return true;
-}
-
-/// Line-by-line reader over the serialized text.
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
-
-  /// Next line without its newline; nullopt at end of input.
-  std::optional<std::string_view> next() {
-    if (pos_ > text_.size()) return std::nullopt;
-    if (pos_ == text_.size()) {
-      pos_ = text_.size() + 1;
-      return std::nullopt;
-    }
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string_view::npos) {
-      std::string_view line = text_.substr(pos_);
-      pos_ = text_.size() + 1;
-      return line;
-    }
-    std::string_view line = text_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return line;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-/// "<keyword> <rest>" split; rest may be empty.
-bool keyword_line(std::string_view line, std::string_view keyword,
-                  std::string_view& rest) {
-  if (!util::starts_with(line, keyword)) return false;
-  if (line.size() == keyword.size()) {
-    rest = "";
-    return true;
-  }
-  if (line[keyword.size()] != ' ') return false;
-  rest = line.substr(keyword.size() + 1);
-  return true;
-}
-
-std::optional<std::size_t> count_field(std::string_view s) {
-  const auto v = util::parse_ll(s);
-  if (!v || *v < 0) return std::nullopt;
-  // An absurd count means a corrupt entry; reject before any reserve().
-  if (*v > 1000000) return std::nullopt;
-  return static_cast<std::size_t>(*v);
 }
 
 }  // namespace
 
-std::string serialize_controller(
-    const minimalist::SynthesizedController& ctrl) {
-  std::string s;
-  s += "bbctrl " + std::to_string(kCodecVersion) + "\n";
-  s += "name " + ctrl.name + "\n";
-  const auto name_block = [&s](const char* keyword,
-                               const std::vector<std::string>& names) {
-    s += std::string(keyword) + " " + std::to_string(names.size()) + "\n";
-    for (const std::string& n : names) s += n + "\n";
+std::string serialize_controller(const Controller& ctrl) {
+  util::JsonWriter w;
+  const auto names = [&w](const char* key,
+                          const std::vector<std::string>& list) {
+    w.key(key).begin_array();
+    for (const std::string& n : list) w.value(n);
+    w.end_array();
   };
-  name_block("inputs", ctrl.inputs);
-  name_block("outputs", ctrl.outputs);
-  name_block("state_bits", ctrl.state_bits);
-  s += "num_vars " + std::to_string(ctrl.num_vars) + "\n";
-  s += "functions " + std::to_string(ctrl.functions.size()) + "\n";
+  w.begin_object();
+  w.member("codec", kCodecVersion);
+  w.member("name", ctrl.name);
+  names("inputs", ctrl.inputs);
+  names("outputs", ctrl.outputs);
+  names("state_bits", ctrl.state_bits);
+  w.member("num_vars", static_cast<std::uint64_t>(ctrl.num_vars));
+  w.key("functions").begin_array();
   for (const minimalist::SolvedFunction& fn : ctrl.functions) {
-    s += "fn " + std::string(fn.is_state_bit ? "1" : "0") + " " +
-         std::to_string(fn.products.num_vars()) + " " +
-         std::to_string(fn.products.size()) + " " + fn.name + "\n";
+    w.begin_object();
+    w.member("name", fn.name);
+    w.member("state_bit", fn.is_state_bit);
+    w.member("num_vars", static_cast<std::uint64_t>(fn.products.num_vars()));
+    w.key("cubes").begin_array();
     for (const logic::Cube& cube : fn.products.cubes()) {
-      s += cube.to_string() + "\n";
+      w.value(cube.to_string());
     }
+    w.end_array().end_object();
   }
-  s += "state_codes " + std::to_string(ctrl.state_codes.size()) + "\n";
-  for (const std::vector<bool>& code : ctrl.state_codes) {
-    s += bits_to_string(code) + "\n";
-  }
-  s += "initial " + bits_to_string(ctrl.initial_state_code) + "\n";
-  s += "end\n";
-  return s;
+  w.end_array();
+  w.key("state_codes").begin_array();
+  for (const auto& code : ctrl.state_codes) w.value(bits_to_string(code));
+  w.end_array();
+  w.member("initial", bits_to_string(ctrl.initial_state_code));
+  w.end_object();
+  return w.str();
 }
 
-std::optional<minimalist::SynthesizedController> deserialize_controller(
-    std::string_view text, std::string* error) {
-  const auto fail = [error](const char* reason)
-      -> std::optional<minimalist::SynthesizedController> {
-    if (error != nullptr) *error = reason;
+std::optional<Controller> deserialize_controller(std::string_view text,
+                                                 std::string* error) {
+  const auto fail = [error](std::string reason) -> std::optional<Controller> {
+    if (error != nullptr) *error = std::move(reason);
     return std::nullopt;
   };
-
-  Reader reader(text);
-  std::string_view rest;
-
-  auto line = reader.next();
-  if (!line || !keyword_line(*line, "bbctrl", rest)) {
-    return fail("missing bbctrl header");
-  }
-  if (util::parse_ll(rest).value_or(-1) != kCodecVersion) {
+  std::string parse_error;
+  const auto doc = util::parse_json(text, &parse_error);
+  if (!doc) return fail("bad JSON: " + parse_error);
+  if (!doc->is_object()) return fail("controller is not a JSON object");
+  if (doc->get_int("codec", -1) != kCodecVersion) {
     return fail("unsupported codec version");
   }
 
-  minimalist::SynthesizedController ctrl;
-  line = reader.next();
-  if (!line || !keyword_line(*line, "name", rest)) return fail("missing name");
-  ctrl.name = std::string(rest);
-
-  const auto read_names = [&](const char* keyword,
-                              std::vector<std::string>& out) -> bool {
-    auto header = reader.next();
-    std::string_view r;
-    if (!header || !keyword_line(*header, keyword, r)) return false;
-    const auto n = count_field(r);
-    if (!n) return false;
-    out.reserve(*n);
-    for (std::size_t i = 0; i < *n; ++i) {
-      auto entry = reader.next();
-      if (!entry) return false;
-      out.emplace_back(*entry);
-    }
-    return true;
-  };
-  if (!read_names("inputs", ctrl.inputs)) return fail("bad inputs block");
-  if (!read_names("outputs", ctrl.outputs)) return fail("bad outputs block");
-  if (!read_names("state_bits", ctrl.state_bits)) {
-    return fail("bad state_bits block");
+  Controller ctrl;
+  const util::JsonValue* name = typed(*doc, "name", Kind::kString);
+  const auto num_vars = num_vars_of(*doc);
+  const util::JsonValue* functions = typed(*doc, "functions", Kind::kArray);
+  const util::JsonValue* codes = typed(*doc, "state_codes", Kind::kArray);
+  if (name == nullptr || !num_vars || functions == nullptr ||
+      codes == nullptr || !names_from(*doc, "inputs", ctrl.inputs) ||
+      !names_from(*doc, "outputs", ctrl.outputs) ||
+      !names_from(*doc, "state_bits", ctrl.state_bits)) {
+    return fail("a top-level member is missing, mistyped or out of range");
   }
-
-  line = reader.next();
-  if (!line || !keyword_line(*line, "num_vars", rest)) {
-    return fail("missing num_vars");
-  }
-  const auto num_vars = count_field(rest);
-  if (!num_vars) return fail("bad num_vars");
+  ctrl.name = name->string;
   ctrl.num_vars = *num_vars;
-
-  line = reader.next();
-  if (!line || !keyword_line(*line, "functions", rest)) {
-    return fail("missing functions header");
-  }
-  const auto num_fns = count_field(rest);
-  if (!num_fns) return fail("bad function count");
-  ctrl.functions.reserve(*num_fns);
-  for (std::size_t f = 0; f < *num_fns; ++f) {
-    line = reader.next();
-    if (!line || !keyword_line(*line, "fn", rest)) {
-      return fail("missing fn header");
+  ctrl.functions.resize(functions->array.size());
+  for (std::size_t f = 0; f < ctrl.functions.size(); ++f) {
+    if (!function_from(functions->array[f], ctrl.functions[f])) {
+      return fail("bad function " + std::to_string(f));
     }
-    // "fn <is_state_bit> <num_vars> <num_cubes> <name>"; the name is the
-    // remainder of the line (it can in principle contain spaces).
-    std::string_view r = rest;
-    const auto take_field = [&r]() -> std::string_view {
-      const std::size_t sp = r.find(' ');
-      std::string_view field = sp == std::string_view::npos ? r
-                                                            : r.substr(0, sp);
-      r = sp == std::string_view::npos ? std::string_view()
-                                       : r.substr(sp + 1);
-      return field;
-    };
-    const std::string_view state_bit_field = take_field();
-    const auto fn_vars = count_field(take_field());
-    const auto fn_cubes = count_field(take_field());
-    if ((state_bit_field != "0" && state_bit_field != "1") || !fn_vars ||
-        !fn_cubes) {
-      return fail("bad fn header");
-    }
-    minimalist::SolvedFunction fn;
-    fn.name = std::string(r);
-    fn.is_state_bit = state_bit_field == "1";
-    std::vector<logic::Cube> cubes;
-    cubes.reserve(*fn_cubes);
-    for (std::size_t c = 0; c < *fn_cubes; ++c) {
-      line = reader.next();
-      if (!line || line->size() != *fn_vars) return fail("bad cube line");
-      try {
-        cubes.push_back(logic::Cube::parse(*line));
-      } catch (const std::exception&) {
-        return fail("bad cube literal");
-      }
-    }
-    fn.products = logic::Cover(*fn_vars, std::move(cubes));
-    ctrl.functions.push_back(std::move(fn));
   }
-
-  line = reader.next();
-  if (!line || !keyword_line(*line, "state_codes", rest)) {
-    return fail("missing state_codes header");
-  }
-  const auto num_codes = count_field(rest);
-  if (!num_codes) return fail("bad state_codes count");
-  ctrl.state_codes.reserve(*num_codes);
-  for (std::size_t i = 0; i < *num_codes; ++i) {
-    line = reader.next();
-    std::vector<bool> code;
-    if (!line || !bits_from_string(*line, code)) {
-      return fail("bad state code row");
+  ctrl.state_codes.resize(codes->array.size());
+  for (std::size_t i = 0; i < ctrl.state_codes.size(); ++i) {
+    if (!bits_from(&codes->array[i], ctrl.state_codes[i])) {
+      return fail("bad state code " + std::to_string(i));
     }
-    ctrl.state_codes.push_back(std::move(code));
   }
-
-  line = reader.next();
-  if (!line || !keyword_line(*line, "initial", rest) ||
-      !bits_from_string(rest, ctrl.initial_state_code)) {
+  if (!bits_from(doc->get("initial"), ctrl.initial_state_code)) {
     return fail("bad initial state code");
   }
-  line = reader.next();
-  if (!line || *line != "end") return fail("missing end marker");
-  if (reader.next().has_value()) return fail("trailing data after end");
   return ctrl;
 }
 

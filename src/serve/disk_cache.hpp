@@ -41,7 +41,13 @@
 //   <access counter>
 //   <key byte count>
 //   <key bytes>
-//   <serialized controller (serve/codec.hpp)>
+//   <serialized controller: one JSON object, serve/codec.hpp>
+//
+// Recovery and eviction read only the header lines; only load (and the
+// verify_all audit) parse the controller.  A payload of another codec version
+// (an entry written by an older build) passes recovery, since its
+// framing is intact, and is dropped as corrupt at its first load: one
+// miss, then the next store re-creates it.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 #include "src/serve/protocol.hpp"
 
+#include <algorithm>
 #include <limits>
 
-#include "src/util/json.hpp"
 #include "src/util/json_parse.hpp"
 
 namespace bb::serve {
@@ -51,6 +51,12 @@ std::optional<bool> bool_member(const util::JsonValue& obj,
   return v->bool_value;
 }
 
+/// Whether the space-separated `words` lists `word`.
+bool lists(std::string_view words, std::string_view word) {
+  return (" " + std::string(words) + " ")
+             .find(" " + std::string(word) + " ") != std::string::npos;
+}
+
 }  // namespace
 
 bool parse_request(const std::string& line, Request* request,
@@ -75,10 +81,8 @@ bool parse_request(const std::string& line, Request* request,
   Request req;
   req.id = doc->get_string("id");
   req.op = doc->get_string("op");
-  if (req.op != "ping" && req.op != "stats" && req.op != "metrics" &&
-      req.op != "trace" && req.op != "shutdown" && req.op != "synthesize" &&
-      req.op != "synthesize_bm" && req.op != "analyze" &&
-      req.op != "synthesize_incremental") {
+  const auto op = std::ranges::find(kOps, req.op, &OpSpec::name);
+  if (op == kOps.end()) {
     *error = "unknown op '" + req.op + "'";
     return false;
   }
@@ -147,6 +151,14 @@ bool parse_request(const std::string& line, Request* request,
       *error = "'options' must be an object";
       return false;
     }
+    for (const auto& [member, value] : opts->object) {
+      const bool known = std::ranges::any_of(
+          kOps, [&](const OpSpec& o) { return lists(o.options, member); });
+      if (known && !lists(op->options, member)) {
+        *error = "op '" + req.op + "' does not take option '" + member + "'";
+        return false;
+      }
+    }
     std::string member_error;
     req.options.unoptimized = opts->get_bool("unoptimized", false);
     req.options.max_states = int_member(*opts, "max_states", &member_error);
@@ -189,51 +201,12 @@ flow::FlowOptions apply_options(const RequestOptions& overrides,
   return options;
 }
 
-std::string reply_ok_ping(const ReplyIds& ids) {
+std::string reply_ok_op(const ReplyIds& ids, std::string_view op,
+                        const std::function<void(util::JsonWriter&)>& body) {
   util::JsonWriter w;
   reply_head(w, ids, "ok");
-  w.member("op", "ping");
-  w.end_object();
-  return w.str();
-}
-
-std::string reply_ok_stats(const ReplyIds& ids,
-                           const std::string& raw_json) {
-  util::JsonWriter w;
-  reply_head(w, ids, "ok");
-  w.member("op", "stats");
-  w.key("stats").raw(raw_json);
-  w.end_object();
-  return w.str();
-}
-
-std::string reply_ok_metrics(const ReplyIds& ids,
-                             const std::string* metrics_json,
-                             const std::string* prometheus_text) {
-  util::JsonWriter w;
-  reply_head(w, ids, "ok");
-  w.member("op", "metrics");
-  if (metrics_json != nullptr) w.key("metrics").raw(*metrics_json);
-  if (prometheus_text != nullptr) w.member("prometheus", *prometheus_text);
-  w.end_object();
-  return w.str();
-}
-
-std::string reply_ok_trace(const ReplyIds& ids,
-                           const std::string& trace_json) {
-  util::JsonWriter w;
-  reply_head(w, ids, "ok");
-  w.member("op", "trace");
-  w.key("trace").raw(trace_json);
-  w.end_object();
-  return w.str();
-}
-
-std::string reply_ok_shutdown(const ReplyIds& ids) {
-  util::JsonWriter w;
-  reply_head(w, ids, "ok");
-  w.member("op", "shutdown");
-  w.member("draining", true);
+  w.member("op", op);
+  if (body) body(w);
   w.end_object();
   return w.str();
 }

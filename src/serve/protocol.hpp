@@ -28,6 +28,9 @@
 // (admission queue full — retry later), "bad_request" (unparseable or
 // unsupported request).  Request decoding is strict about shape but
 // lenient about unknown members, so the schema can grow compatibly.
+// An "options" member that some op reads is refused when sent to an op
+// that does not read it (kOps below), since dropping it would answer a
+// question the caller did not ask.
 //
 // Trace context: a request may carry "trace_id" naming the distributed
 // trace it belongs to; the server mints one ("srv-<seq>") when absent.
@@ -37,16 +40,38 @@
 // pull one request's spans out of the ring with "filter".
 #pragma once
 
+#include <array>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/flow/flow.hpp"
+#include "src/util/json.hpp"
 
 namespace bb::serve {
 
 /// Wire format revision; requests with a different schema_version are
 /// rejected with bad_request.
 inline constexpr int kProtocolVersion = 1;
+
+/// One op and the "options" members it reads.
+struct OpSpec {
+  std::string_view name;
+  std::string_view options;  ///< space-separated member names
+};
+
+/// Every op the daemon answers, with the options each one reads.
+inline constexpr std::array<OpSpec, 9> kOps = {{
+    {"ping", ""}, {"stats", ""}, {"metrics", ""}, {"trace", ""},
+    {"shutdown", ""},
+    {"synthesize",
+     "unoptimized max_states jobs cache strict lint work_budget verilog"},
+    {"synthesize_bm", "cache work_budget"},
+    {"analyze", "unoptimized max_states sarif no_analyze"},
+    {"synthesize_incremental",
+     "unoptimized max_states jobs cache strict lint work_budget verilog"},
+}};
 
 /// FlowOptions overrides a request may carry (absent members keep the
 /// server-side defaults).
@@ -61,7 +86,7 @@ struct RequestOptions {
   /// (util::WorkBudget); overrides the server default.
   std::optional<long long> work_budget;
   /// Include structural Verilog of the mapped control netlist in the
-  /// reply (synthesize only).
+  /// reply (synthesize, synthesize_incremental).
   bool verilog = false;
   /// Include a SARIF 2.1.0 rendering of the findings in the reply
   /// (analyze only).
@@ -73,8 +98,7 @@ struct RequestOptions {
 
 struct Request {
   std::string id;        ///< echoed verbatim in the reply; may be empty
-  std::string op;        ///< ping / stats / metrics / trace / shutdown /
-                         ///< synthesize / synthesize_bm / analyze
+  std::string op;        ///< one of kOps
   std::string trace_id;  ///< client-supplied trace context; server mints
                          ///< one when empty
   std::string design;    ///< built-in design name (synthesize)
@@ -91,7 +115,8 @@ struct Request {
 };
 
 /// Parses one request line.  Returns false and fills `error` on any
-/// defect (bad JSON, wrong schema_version, unknown op, missing input).
+/// defect (bad JSON, wrong schema_version, unknown op, missing input,
+/// an option the op does not read).
 bool parse_request(const std::string& line, Request* request,
                    std::string* error);
 
@@ -117,15 +142,10 @@ struct ReplyTimings {
   double run_ms = 0.0;    ///< execution
 };
 
-std::string reply_ok_ping(const ReplyIds& ids);
-std::string reply_ok_stats(const ReplyIds& ids, const std::string& raw_json);
-/// Either rendering may be null to omit it ("format" selects).
-std::string reply_ok_metrics(const ReplyIds& ids,
-                             const std::string* metrics_json,
-                             const std::string* prometheus_text);
-/// `trace_json` is the Chrome trace-event document from the span ring.
-std::string reply_ok_trace(const ReplyIds& ids, const std::string& trace_json);
-std::string reply_ok_shutdown(const ReplyIds& ids);
+/// An inline op's reply: the envelope, "op", then whatever members
+/// `body` (may be empty) writes for that op.
+std::string reply_ok_op(const ReplyIds& ids, std::string_view op,
+                        const std::function<void(util::JsonWriter&)>& body);
 /// `result_json` is a pre-rendered JSON object fragment.
 std::string reply_ok_result(const ReplyIds& ids,
                             const std::string& result_json,

@@ -445,34 +445,28 @@ struct Server::Impl {
         req.op == "trace" || req.op == "shutdown") {
       obs::TraceContextScope trace_scope(req.trace_id);
       const auto inline_start = Clock::now();
-      std::string reply;
-      if (req.op == "ping") {
-        reply = reply_ok_ping(ids);
-      } else if (req.op == "stats") {
-        reply = reply_ok_stats(ids, stats_json());
-      } else if (req.op == "metrics") {
-        std::string json, prometheus;
-        const std::string* json_p = nullptr;
-        const std::string* prometheus_p = nullptr;
-        // One snapshot feeds both renderings so they cannot disagree.
-        const obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
-        if (req.format != "prometheus") {
-          json = obs::Registry::to_json(snap);
-          json_p = &json;
+      const auto body = [&](util::JsonWriter& w) {
+        if (req.op == "stats") {
+          w.key("stats").raw(stats_json());
+        } else if (req.op == "metrics") {
+          // One snapshot feeds both renderings so they cannot disagree.
+          const obs::RegistrySnapshot snap =
+              obs::Registry::global().snapshot();
+          if (req.format != "prometheus") {
+            w.key("metrics").raw(obs::Registry::to_json(snap));
+          }
+          if (req.format != "json") {
+            w.member("prometheus", obs::Registry::to_prometheus(snap));
+          }
+        } else if (req.op == "trace") {
+          w.key("trace").raw(obs::Tracer::instance().collect_json(
+              static_cast<std::size_t>(req.last), req.filter));
+        } else if (req.op == "shutdown") {
+          w.member("draining", true);
+          stop.store(true, std::memory_order_relaxed);
         }
-        if (req.format != "json") {
-          prometheus = obs::Registry::to_prometheus(snap);
-          prometheus_p = &prometheus;
-        }
-        reply = reply_ok_metrics(ids, json_p, prometheus_p);
-      } else if (req.op == "trace") {
-        reply = reply_ok_trace(
-            ids, obs::Tracer::instance().collect_json(
-                     static_cast<std::size_t>(req.last), req.filter));
-      } else {
-        reply = reply_ok_shutdown(ids);
-        stop.store(true, std::memory_order_relaxed);
-      }
+      };
+      const std::string reply = reply_ok_op(ids, req.op, body);
       const double total_ms = ms_between(inline_start, Clock::now());
       op_histogram(req.op).record(
           static_cast<std::uint64_t>(total_ms * 1000.0));
@@ -604,7 +598,6 @@ struct Server::Impl {
     Conn conn;
     conn.fd = fd;
     std::string buffer;
-    bool overflow = false;
     // Slow-trickle guard: the deadline by which the partial line held in
     // `buffer` must complete.  Re-armed whenever the buffer empties.
     Clock::time_point line_deadline{};
@@ -646,7 +639,6 @@ struct Server::Impl {
       }
       if (buffer.size() > kMaxLineBytes) {
         write_reply(conn, reply_bad_request({}, "request line too large"));
-        overflow = true;
         break;
       }
     }
@@ -656,7 +648,6 @@ struct Server::Impl {
       std::unique_lock<std::mutex> lock(conn.mu);
       conn.cv.wait(lock, [&conn] { return conn.outstanding == 0; });
     }
-    (void)overflow;
     ::close(fd);
   }
 

@@ -14,19 +14,18 @@
 //
 //   bb-client --socket /tmp/bb.sock --op synthesize --design systolic
 //   bb-client --socket /tmp/bb.sock --op synthesize_bm --bms spec.bms
+//   bb-client --socket /tmp/bb.sock --op analyze --design stack
 //   bb-client --socket /tmp/bb.sock --op metrics --format prometheus
 //   bb-client --socket /tmp/bb.sock --op trace --last 100
 //
 // Options:
 //   --socket PATH      daemon socket (required)
-//   --op OP            ping | stats | metrics | trace | shutdown |
-//                      synthesize | synthesize_bm |
-//                      synthesize_incremental (default: implied by
-//                      --project, --bms, --design/--source in that
-//                      order, else ping)
-//   --design NAME      built-in design (synthesize)
+//   --op OP            any op of serve::kOps, listed by the usage line
+//                      (default: implied by --project, --bms,
+//                      --design/--source in that order, else ping)
+//   --design NAME      built-in design (synthesize, analyze)
 //   --source FILE      mini-Balsa source file, "-" = stdin (synthesize,
-//                      synthesize_incremental)
+//                      analyze, synthesize_incremental)
 //   --project NAME     project under the server's --project-dir
 //                      (synthesize_incremental; default "default")
 //   --bms FILE         .bms file, "-" = stdin (synthesize_bm)
@@ -119,9 +118,9 @@ int main(int argc, char** argv) {
   int retries = 1;
   int backoff_ms = 50;
   constexpr int kIntMax = std::numeric_limits<int>::max();
-  bb::tools::Cli cli("bb-client", "", 0, 0,
-                     "ops: ping stats metrics trace shutdown synthesize"
-                     " synthesize_bm synthesize_incremental");
+  std::string ops = "ops:";
+  for (const bb::serve::OpSpec& o : bb::serve::kOps) (ops += ' ') += o.name;
+  bb::tools::Cli cli("bb-client", "", 0, 0, ops);
   cli.text("--socket", "PATH", &socket_path)
       .text("--op", "OP", &op)
       .text("--design", "NAME", &design)

@@ -4,12 +4,15 @@
 // and the daemon end to end over a real Unix-domain socket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -26,6 +29,7 @@
 #include "src/serve/disk_cache.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/json.hpp"
 #include "src/util/json_parse.hpp"
 
@@ -103,10 +107,47 @@ TEST(Codec, RejectsTruncationAndGarbageWithoutThrowing) {
   }
   EXPECT_FALSE(serve::deserialize_controller("not a controller at all"));
   EXPECT_FALSE(serve::deserialize_controller(text + "trailing"));
-  // Wrong codec version line.
+  EXPECT_FALSE(serve::deserialize_controller("[]"));
+  // Wrong codec version.
   std::string wrong = text;
-  wrong.replace(0, wrong.find('\n'), "bbctrl 999");
+  const std::string version = "\"codec\":" +
+                              std::to_string(serve::kCodecVersion) + ",";
+  ASSERT_EQ(wrong.find(version), 1u) << text;
+  wrong.replace(1, version.size(), "\"codec\":999,");
   EXPECT_FALSE(serve::deserialize_controller(wrong));
+}
+
+TEST(Codec, RejectsEachDefectWithAReason) {
+  const std::string text = serve::serialize_controller(wire_ctrl());
+  // Each case edits one member of a valid document; every edit must be
+  // rejected with a reason, never thrown.
+  const std::pair<const char*, const char*> defects[] = {
+      // A member of the wrong type.
+      {"\"name\":\"wire\"", "\"name\":7"},
+      {"\"inputs\":[\"a_r\"]", "\"inputs\":\"a_r\""},
+      {"\"state_bit\":false", "\"state_bit\":0"},
+      // A cube whose width is not num_vars, or with a foreign literal.
+      {"\"cubes\":[\"11-\"", "\"cubes\":[\"11-1\""},
+      {"\"cubes\":[\"11-\"", "\"cubes\":[\"11x\""},
+      // Bit strings hold only '0' and '1'.
+      {"\"state_codes\":[\"10\"", "\"state_codes\":[\"12\""},
+      {"\"initial\":\"10\"", "\"initial\":\"1-\""},
+      // num_vars outside [0, 10^6].
+      {"\"num_vars\":3,\"functions\"",
+       "\"num_vars\":1000001,\"functions\""},
+      {"\"num_vars\":3,\"functions\"", "\"num_vars\":-1,\"functions\""},
+  };
+  for (const auto& [from, to] : defects) {
+    std::string doc = text;
+    const std::size_t at = doc.find(from);
+    ASSERT_NE(at, std::string::npos) << from << " not in " << text;
+    doc.replace(at, std::string_view(from).size(), to);
+    std::string error;
+    std::optional<minimalist::SynthesizedController> ctrl;
+    EXPECT_NO_THROW(ctrl = serve::deserialize_controller(doc, &error)) << to;
+    EXPECT_FALSE(ctrl.has_value()) << "accepted " << to;
+    EXPECT_FALSE(error.empty()) << "no reason for " << to;
+  }
 }
 
 // ---- disk cache ----
@@ -172,6 +213,37 @@ TEST(DiskCache, VersionMismatchIsDroppedAndFileRemoved) {
   }
   EXPECT_FALSE(cache.load("key1").has_value());
   EXPECT_FALSE(fs::exists(path));
+  EXPECT_EQ(cache.stats().corrupt_dropped, 1u);
+}
+
+TEST(DiskCache, LineCodecEntryFromAnOlderBuildIsDroppedOnceThenRestored) {
+  // An entry as a build before the JSON codec wrote it: today's bbdc
+  // framing around a "bbctrl 1" line-format payload.
+  constexpr const char* kLineCodecWire =
+      "bbctrl 1\nname wire\ninputs 1\na_r\noutputs 1\na_a\n"
+      "state_bits 2\ny0\ny1\nnum_vars 3\nfunctions 3\n"
+      "fn 0 3 2 a_a\n11-\n1-1\nfn 1 3 3 y0\n-10\n0-1\n01-\n"
+      "fn 1 3 3 y1\n11-\n1-1\n-01\nstate_codes 2\n10\n01\n"
+      "initial 10\nend\n";
+  TempDir dir("upgrade");
+  const std::string path = serve::DiskCache(dir.str()).entry_path("key1");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << util::frame("bbdc", serve::kDiskEntryVersion,
+                       std::string("1\n4\nkey1\n") + kLineCodecWire);
+  }
+  // Its framing is intact, so the open-time recovery pass keeps it.
+  serve::DiskCache cache(dir.str());
+  EXPECT_EQ(cache.stats().quarantined, 0u);
+  ASSERT_TRUE(fs::exists(path));
+  // The first load drops it as a corrupt payload: a miss, file removed.
+  EXPECT_FALSE(cache.load("key1").has_value());
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_EQ(cache.stats().corrupt_dropped, 1u);
+  // A store re-creates the entry in the current codec; the next load hits.
+  cache.store("key1", wire_ctrl());
+  EXPECT_TRUE(cache.load("key1").has_value());
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().corrupt_dropped, 1u);
 }
 
@@ -535,6 +607,85 @@ TEST(Protocol, ParsesMetricsAndTraceRequests) {
       R"({"schema_version":1,"op":"trace","last":-1})", &req, &error));
 }
 
+// Each op accepts the options it reads and refuses every other option
+// some op reads; a member no op knows is ignored, so the schema can grow.
+struct OpCase {
+  const char* op;
+  const char* input;  ///< the members the op needs besides "options"
+  std::vector<std::string> reads;
+};
+
+class OpOptions : public testing::TestWithParam<OpCase> {};
+
+TEST_P(OpOptions, AcceptsOnlyTheOptionsItReads) {
+  const OpCase& c = GetParam();
+  // One value for every option any op reads, and how it decodes.
+  const std::pair<std::string, std::string> all[] = {
+      {"unoptimized", "true"}, {"max_states", "8"},    {"jobs", "2"},
+      {"cache", "false"},      {"strict", "true"},     {"lint", "false"},
+      {"work_budget", "100"},  {"verilog", "true"},    {"sarif", "true"},
+      {"no_analyze", "true"}};
+  const auto decoded = [](const serve::RequestOptions& o,
+                          const std::string& name) {
+    if (name == "unoptimized") return o.unoptimized;
+    if (name == "max_states") return o.max_states == 8;
+    if (name == "jobs") return o.jobs == 2;
+    if (name == "cache") return o.cache == false;
+    if (name == "strict") return o.strict == true;
+    if (name == "lint") return o.lint == false;
+    if (name == "work_budget") return o.work_budget == 100;
+    if (name == "verilog") return o.verilog;
+    if (name == "sarif") return o.sarif;
+    return name == "no_analyze" && o.no_analyze;
+  };
+  const auto request = [&c](const std::string& options) {
+    return std::string(R"({"schema_version":1,"op":")") + c.op + "\"" +
+           c.input + R"(,"options":{)" + options + "}}";
+  };
+  std::string read = R"("future_knob":1)";
+  for (const auto& [name, value] : all) {
+    const std::string member = "\"" + name + "\":" + value;
+    if (std::find(c.reads.begin(), c.reads.end(), name) != c.reads.end()) {
+      read += "," + member;
+      continue;
+    }
+    serve::Request req;
+    std::string error;
+    EXPECT_FALSE(serve::parse_request(request(member), &req, &error))
+        << c.op << " took " << name;
+    EXPECT_EQ(error, std::string("op '") + c.op +
+                         "' does not take option '" + name + "'");
+  }
+  serve::Request req;
+  std::string error;
+  ASSERT_TRUE(serve::parse_request(request(read), &req, &error)) << error;
+  EXPECT_EQ(req.op, c.op);
+  for (const std::string& name : c.reads) {
+    EXPECT_TRUE(decoded(req.options, name)) << c.op << " dropped " << name;
+  }
+}
+
+const std::vector<std::string> kFlowOptionNames = {
+    "unoptimized", "max_states",  "jobs",   "cache",
+    "strict",      "lint",        "work_budget", "verilog"};
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocol, OpOptions,
+    testing::Values(
+        OpCase{"ping", "", {}}, OpCase{"stats", "", {}},
+        OpCase{"metrics", "", {}}, OpCase{"trace", "", {}},
+        OpCase{"shutdown", "", {}},
+        OpCase{"synthesize", R"(,"design":"stack")", kFlowOptionNames},
+        OpCase{"synthesize_bm", R"(,"bms":"name w")",
+               {"cache", "work_budget"}},
+        OpCase{"analyze", R"(,"design":"stack")",
+               {"unoptimized", "max_states", "sarif", "no_analyze"}},
+        OpCase{"synthesize_incremental", R"(,"source":"x")",
+               kFlowOptionNames}),
+    [](const testing::TestParamInfo<OpCase>& info) {
+      return std::string(info.param.op);
+    });
+
 // ---- daemon end to end ----
 
 namespace {
@@ -702,6 +853,26 @@ TEST(Server, AnalyzeOpReportsLintAndSarif) {
   EXPECT_EQ(lint->get_int("schema_version", -1), 1);
   EXPECT_NE(result->get_string("sarif").find("\"2.1.0\""),
             std::string::npos);
+}
+
+TEST(Server, RefusesAnOptionTheOpDoesNotRead) {
+  // analyze never reads a work budget or the cache switch; answering ok
+  // would claim a budgeted, uncached run that did not happen.
+  TempDir dir("refuse");
+  serve::ServerOptions options;
+  options.socket_path = (dir.path / "bb.sock").string();
+  RunningServer running(options);
+  serve::Client client(options.socket_path);
+  const auto doc = util::parse_json(client.roundtrip(
+      R"({"schema_version":1,"id":"a1","op":"analyze","design":"stack",)"
+      R"("options":{"work_budget":1,"cache":false}})",
+      60000));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->get_string("status"), "bad_request");
+  EXPECT_EQ(doc->get_string("message"),
+            "op 'analyze' does not take option 'work_budget'");
+  EXPECT_EQ(running.server.stats().bad_requests, 1u);
+  EXPECT_EQ(running.server.stats().completed, 0u);
 }
 
 TEST(Server, WorkBudgetEnvReachesSynthesizeBm) {
