@@ -14,6 +14,7 @@
 #include "src/lint/diag.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/util/failpoint.hpp"
 #include "src/util/json.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/thread_pool.hpp"
@@ -129,6 +130,36 @@ std::uint64_t effective_work_budget(const FlowOptions& options) {
   // instead of a prefix-parsed cap.
   return static_cast<std::uint64_t>(
       util::positive_env("BB_WORK_BUDGET").value_or(0));
+}
+
+minimalist::SynthesizedController synthesize_cached(
+    const bm::Spec& spec, minimalist::SynthMode mode,
+    minimalist::SynthCache& cache, util::WorkBudget* budget,
+    minimalist::CacheTier* tier, lint::Report* findings) {
+  if (findings != nullptr) *findings = lint::Report{};
+  if (auto cached = cache.lookup(spec, mode, tier)) return std::move(*cached);
+  std::optional<minimalist::MachineSpec> machine;
+  minimalist::SynthesizedController ctrl =
+      minimalist::synthesize(spec, mode, budget, &machine);
+  if (!ctrl.functions.empty() && util::failpoint("flow.synthesis.widen")) {
+    // A synthesis defect on demand: the first product of the first
+    // function grows to the all-don't-care cube, which meets that
+    // function's OFF-set (MN001).
+    auto& products = ctrl.functions.front().products;
+    std::vector<logic::Cube> cubes = products.cubes();
+    if (cubes.empty()) cubes.emplace_back();
+    cubes.front() = logic::Cube(ctrl.num_vars);
+    products = logic::Cover(ctrl.num_vars, std::move(cubes));
+  }
+  lint::Report report;
+  {
+    obs::Span span("flow.lint.two_level", obs::kCatFlow);
+    span.arg("controller", spec.name);
+    report = lint::lint_two_level(ctrl, *machine);
+  }
+  if (report.empty()) cache.store(spec, mode, ctrl);
+  if (findings != nullptr) *findings = std::move(report);
+  return ctrl;
 }
 
 ControlResult synthesize_control(const hsnet::Netlist& netlist,
@@ -272,8 +303,8 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
         }
         minimalist::SynthesizedController ctrl =
             cache != nullptr
-                ? minimalist::synthesize_cached(
-                      spec, minimalist::SynthMode::kArea, *cache)
+                ? synthesize_cached(spec, minimalist::SynthMode::kArea,
+                                    *cache)
                 : minimalist::synthesize(spec, minimalist::SynthMode::kArea);
         techmap::MapOptions fallback_mopts;
         fallback_mopts.level_separated = false;
@@ -365,8 +396,10 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
       }
 
       stage = FlowStage::kSynthesis;
-      // The flow table synthesis extracted (a cache hit leaves it empty),
-      // reused by the MN lint.
+      // The MN findings: synthesize_cached lints a miss before admitting
+      // it (a hit was linted when it was stored); the uncached path
+      // keeps the flow table synthesis extracted and lints below.
+      lint::Report two_level;
       std::optional<minimalist::MachineSpec> machine;
       minimalist::SynthesizedController ctrl = [&] {
         obs::Span span("flow.synthesis", obs::kCatSynth,
@@ -376,10 +409,10 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
           minimalist::CacheTier tier = minimalist::CacheTier::kMiss;
           auto synthesized =
               cache != nullptr
-                  ? minimalist::synthesize_cached(spec, options.mode, *cache,
-                                                  budget, &tier, &machine)
+                  ? synthesize_cached(spec, options.mode, *cache, budget,
+                                      &tier, &two_level)
                   : minimalist::synthesize(spec, options.mode, budget,
-                                           &machine);
+                                           options.lint ? &machine : nullptr);
           unit.timing.cache_hit = tier != minimalist::CacheTier::kMiss;
           unit.timing.cache_disk = tier == minimalist::CacheTier::kDisk;
           span.arg("cache",
@@ -395,15 +428,16 @@ ControlResult synthesize_control(const hsnet::Netlist& netlist,
 
       if (options.lint) {
         stage = FlowStage::kLint;
-        obs::Span span("flow.lint.two_level", obs::kCatFlow,
-                       &unit.timing.lint_ms);
-        span.arg("controller", program.name);
-        local_absorb(
-            "two-level logic of controller '" + program.name + "'",
-            machine ? lint::lint_two_level(ctrl, *machine)
-                    : lint::lint_two_level(ctrl, spec));
+        if (machine) {
+          obs::Span span("flow.lint.two_level", obs::kCatFlow,
+                         &unit.timing.lint_ms);
+          span.arg("controller", program.name);
+          two_level = lint::lint_two_level(ctrl, *machine);
+          machine.reset();  // free the flow table before techmap's peak
+        }
+        local_absorb("two-level logic of controller '" + program.name + "'",
+                     std::move(two_level));
       }
-      machine.reset();  // free the flow table before techmap's peak
 
       stage = FlowStage::kTechmap;
       unit.prefix = "ctl" + std::to_string(i);

@@ -85,7 +85,8 @@ struct StageTimings {
   double to_ch_ms = 0.0;      ///< Balsa-to-CH translation (+ templates)
   double cluster_ms = 0.0;    ///< T1/T2 clustering
   double bm_compile_ms = 0.0; ///< CH-to-BMS, summed across controllers
-  double minimalist_ms = 0.0; ///< two-level synthesis (or cache lookup)
+  double minimalist_ms = 0.0; ///< two-level synthesis (or cache lookup);
+                              ///< a cache miss includes its admission lint
   double techmap_ms = 0.0;    ///< technology mapping
   double lint_ms = 0.0;       ///< all lint stages, including handshake/gates
   double controllers_wall_ms = 0.0;  ///< wall time of the parallel region
@@ -209,6 +210,20 @@ class LintError : public std::runtime_error {
 /// Synthesizes the control partition of a handshake netlist.
 ControlResult synthesize_control(const hsnet::Netlist& netlist,
                                  const FlowOptions& options);
+
+/// minimalist::synthesize() through `cache`, and the cache's one
+/// admission point: on a miss, the controller is linted (MN001-MN003,
+/// default options) against the flow table synthesis just extracted,
+/// and it is stored only if the lint finds nothing.  Every MN rule is
+/// an error, so a hit is a controller the lint already passed; it
+/// skips both the extraction and the lint.  `findings` (when non-null)
+/// receives the miss's MN report and is cleared on a hit.  `tier` and
+/// `budget` as in SynthCache::lookup and minimalist::synthesize: a hit
+/// costs no budgeted work.
+minimalist::SynthesizedController synthesize_cached(
+    const bm::Spec& spec, minimalist::SynthMode mode,
+    minimalist::SynthCache& cache, util::WorkBudget* budget = nullptr,
+    minimalist::CacheTier* tier = nullptr, lint::Report* findings = nullptr);
 
 /// One-line-per-controller report.  The default rendering is a pure
 /// function of the synthesis result (no wall-clock numbers), so serial,

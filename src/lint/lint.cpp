@@ -184,20 +184,6 @@ Report lint_bm(const bm::Spec& spec, const LintOptions& options) {
 }
 
 Report lint_two_level(const minimalist::SynthesizedController& ctrl,
-                      const bm::Spec& spec, const LintOptions& options) {
-  minimalist::MachineSpec machine;
-  try {
-    machine = minimalist::extract(spec);
-  } catch (const std::exception& e) {
-    Report report = make_report(options);
-    report.add("MN003", "controller " + quoted(ctrl.name),
-               std::string("flow-table extraction failed: ") + e.what());
-    return report;
-  }
-  return lint_two_level(ctrl, machine, options);
-}
-
-Report lint_two_level(const minimalist::SynthesizedController& ctrl,
                       const minimalist::MachineSpec& machine,
                       const LintOptions& options) {
   Report report = make_report(options);

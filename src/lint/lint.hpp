@@ -58,15 +58,11 @@ Report lint_handshake(const hsnet::Netlist& netlist,
 /// well-formedness findings flow through the shared framework.
 Report lint_bm(const bm::Spec& spec, const LintOptions& options = {});
 
-/// Two-level logic layer: re-derives the hazard-freedom obligations from
-/// the specification and screens every product of the synthesized logic
-/// against them (MN001 dynamic hazards, MN002 static hazards, MN003
-/// shape mismatches or a flow table that cannot be extracted).
-Report lint_two_level(const minimalist::SynthesizedController& ctrl,
-                      const bm::Spec& spec, const LintOptions& options = {});
-
-/// lint_two_level against an already extracted flow table (the one
-/// synthesis built), so the obligations are not derived twice.
+/// Two-level logic layer: screens every product of the synthesized logic
+/// against the hazard-freedom obligations of the flow table synthesis
+/// extracted (MN001 dynamic hazards, MN002 static hazards, MN003 shape
+/// mismatches).  The flow runs it once per controller, on a cache miss;
+/// the cache admits only controllers it finds clean.
 Report lint_two_level(const minimalist::SynthesizedController& ctrl,
                       const minimalist::MachineSpec& machine,
                       const LintOptions& options = {});

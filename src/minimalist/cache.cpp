@@ -149,14 +149,4 @@ void SynthCache::clear() {
   evictions_ = 0;
 }
 
-SynthesizedController synthesize_cached(
-    const bm::Spec& spec, SynthMode mode, SynthCache& cache,
-    util::WorkBudget* budget, CacheTier* tier,
-    std::optional<MachineSpec>* machine) {
-  if (auto cached = cache.lookup(spec, mode, tier)) return std::move(*cached);
-  SynthesizedController ctrl = synthesize(spec, mode, budget, machine);
-  cache.store(spec, mode, ctrl);
-  return ctrl;
-}
-
 }  // namespace bb::minimalist

@@ -17,6 +17,15 @@
 // is bounded: entries beyond `max_entries` are evicted in LRU order so a
 // long-running daemon cannot grow the cache without limit.
 //
+// The cache admits only hazard-free controllers.  Its one admission
+// point is flow::synthesize_cached: on a miss it lints the controller
+// (MN001-MN003) against the flow table synthesis just extracted and
+// stores it only if the lint finds nothing.  A hit therefore needs no
+// lint, and it carries no flow table either: the table is extracted, and
+// handed to the lint, only on a miss.  This layer sits below src/lint
+// and does not check the rule itself, so a direct store() (tests) is
+// trusted as-is.
+//
 // There is no process-wide instance: whoever wants a memo owns a cache
 // and hands it to the flow (FlowOptions::cache_instance), so results and
 // costs never depend on unrelated earlier work in the same process.
@@ -101,6 +110,7 @@ class SynthCache {
   /// Stores a freshly synthesized controller (first writer wins; a
   /// concurrent duplicate insert is a no-op since both results are
   /// identical up to names).  Write-throughs to the backing store.
+  /// The caller vouches that `ctrl` passed the MN lint (see above).
   void store(const bm::Spec& spec, SynthMode mode,
              const SynthesizedController& ctrl);
 
@@ -144,18 +154,5 @@ class SynthCache {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
-
-/// synthesize() through `cache`: looks up first, synthesizes and stores
-/// on a miss.  `tier` (when non-null) reports which tier answered, kMiss
-/// when synthesis ran.  `budget` is only consulted on the miss
-/// path — a cache hit costs no budgeted work, so a controller that would
-/// blow its budget uncached can still succeed when a structurally
-/// identical twin seeded the cache.  `machine` (when non-null) receives
-/// the flow table synthesize() extracted on a miss; a hit leaves it
-/// untouched.
-SynthesizedController synthesize_cached(
-    const bm::Spec& spec, SynthMode mode, SynthCache& cache,
-    util::WorkBudget* budget = nullptr, CacheTier* tier = nullptr,
-    std::optional<MachineSpec>* machine = nullptr);
 
 }  // namespace bb::minimalist

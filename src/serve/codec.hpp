@@ -5,7 +5,7 @@
 // read back by util::parse_json, the same pair the incremental manifest
 // uses:
 //
-//   {"codec":2,"name":..,"inputs":[..],"outputs":[..],"state_bits":[..],
+//   {"codec":3,"name":..,"inputs":[..],"outputs":[..],"state_bits":[..],
 //    "num_vars":N,"functions":[{"name":..,"state_bit":false,
 //    "num_vars":N,"cubes":["01-.."]}],"state_codes":["0110"],
 //    "initial":"0110"}
@@ -28,8 +28,10 @@
 namespace bb::serve {
 
 /// Format revision of the controller serialization; bump on any layout
-/// change so old cache entries are treated as misses, not misparsed.
-inline constexpr int kCodecVersion = 2;
+/// change so old cache entries are treated as misses, not misparsed,
+/// and on any change to what the cache admits.  3: only controllers
+/// that passed the MN lint are stored (flow::synthesize_cached).
+inline constexpr int kCodecVersion = 3;
 
 /// Renders `ctrl` as one versioned JSON object (no trailing newline).
 std::string serialize_controller(const minimalist::SynthesizedController& ctrl);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/serve/codec.hpp"
 #include "src/util/failpoint.hpp"
 #include "src/util/hash.hpp"
@@ -40,6 +41,10 @@ obs::Counter& counter(const char* name) {
 }
 
 bool is_entry_file(const fs::path& p) { return p.extension() == ".bbc"; }
+
+std::string file_name(const std::string& path) {
+  return fs::path(path).filename().string();
+}
 
 bool is_orphan_tmp(const std::string& filename) {
   return filename.find(".tmp.") != std::string::npos;
@@ -215,8 +220,15 @@ void DiskCache::recover() {
   for (const fs::path& path : to_quarantine) quarantine(path);
 }
 
+std::uint64_t DiskCache::recency_locked(const std::string& filename,
+                                        std::uint64_t persisted) const {
+  const auto it = touched_.find(filename);
+  return it == touched_.end() ? persisted : std::max(persisted, it->second);
+}
+
 std::optional<minimalist::SynthesizedController> DiskCache::load(
     const std::string& key) {
+  obs::Span span("serve.disk_cache.load", obs::kCatFlow);
   const auto miss = [this]() {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.misses;
@@ -232,6 +244,7 @@ std::optional<minimalist::SynthesizedController> DiskCache::load(
     miss();
     return std::nullopt;
   }
+  span.arg("bytes", static_cast<std::uint64_t>(data->size()));
 
   const auto reject = [&]() -> std::optional<
                               minimalist::SynthesizedController> {
@@ -248,34 +261,29 @@ std::optional<minimalist::SynthesizedController> DiskCache::load(
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hits;
     counter("serve.disk_cache.hits").add();
-    // Bump recency for the LRU evictor by rewriting the entry with the
-    // next clock tick.  Atomic and crash-safe (a crash leaves either
-    // the old or the new image); best effort on a read-only or full
-    // disk, exactly like the mtime bump it replaces — except the
-    // counter is monotonic and survives coarse filesystem timestamps.
-    ++access_counter_;
-    try {
-      util::write_file_atomic(
-          path, render_entry(key, entry->payload, access_counter_));
-    } catch (const std::exception&) {
-    }
+    // Bump recency for the LRU evictor in memory only: a hit reads and
+    // never writes.  The evictor ranks an entry by the larger of this
+    // clock and its persisted one.
+    touched_[file_name(path)] = ++access_counter_;
   }
   return ctrl;
 }
 
 void DiskCache::store(const std::string& key,
                       const minimalist::SynthesizedController& ctrl) {
-  const std::string payload = serialize_controller(ctrl);
+  obs::Span span("serve.disk_cache.store", obs::kCatFlow);
   std::uint64_t access = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     access = ++access_counter_;
   }
+  const std::string image =
+      render_entry(key, serialize_controller(ctrl), access);
+  span.arg("bytes", static_cast<std::uint64_t>(image.size()));
   bool injected = static_cast<bool>(util::failpoint("serve.disk_cache.store"));
   if (!injected) {
     try {
-      util::write_file_atomic(entry_path(key),
-                              render_entry(key, payload, access));
+      util::write_file_atomic(entry_path(key), image);
     } catch (const std::exception&) {
       injected = true;  // a full or read-only disk degrades the cache,
                         // never the synthesis
@@ -301,6 +309,7 @@ void DiskCache::drop_corrupt(const std::string& path) {
   std::error_code ec;
   fs::remove(path, ec);
   std::lock_guard<std::mutex> lock(mu_);
+  touched_.erase(file_name(path));
   ++stats_.corrupt_dropped;
   ++stats_.misses;
   counter("serve.disk_cache.corrupt_dropped").add();
@@ -310,6 +319,7 @@ void DiskCache::drop_corrupt(const std::string& path) {
 void DiskCache::evict_to_cap() {
   struct EntryFile {
     fs::path path;
+    std::string name;  ///< the file name, the key of touched_
     std::uint64_t access = 0;
     std::uint64_t size = 0;
   };
@@ -324,7 +334,8 @@ void DiskCache::evict_to_cap() {
     std::error_code size_ec;
     const std::uint64_t size = it.file_size(size_ec);
     if (size_ec) continue;
-    files.push_back(EntryFile{it.path(), 0, size});
+    files.push_back(
+        EntryFile{it.path(), it.path().filename().string(), 0, size});
     total += size;
   }
   if (total <= max_bytes_) return;
@@ -340,7 +351,7 @@ void DiskCache::evict_to_cap() {
     const auto entry = parse_entry(*data);
     // An unparseable entry sorts first (access 0): it is dead weight
     // the size cap should reclaim before any live entry.
-    f.access = entry ? entry->access : 0;
+    f.access = entry ? recency_locked(f.name, entry->access) : 0;
     readable.push_back(std::move(f));
   }
   files = std::move(readable);
@@ -362,8 +373,7 @@ void DiskCache::evict_to_cap() {
   if (victims.empty()) return;
   std::string journal = std::string(kJournalHeader) + "\n";
   for (const EntryFile& f : victims) {
-    journal += std::to_string(f.access) + " " + f.path.filename().string() +
-               "\n";
+    journal += std::to_string(f.access) + " " + f.name + "\n";
   }
   const std::string journal_path = root_ + "/" + kJournalFile;
   try {
@@ -376,14 +386,15 @@ void DiskCache::evict_to_cap() {
   (void)util::failpoint("serve.disk_cache.evict.crash");
   for (const EntryFile& f : victims) {
     // Re-check the victim's clock right before the unlink: another
-    // process sharing the directory may have re-stored or touched it
-    // since the scan, and a touched entry is live, not evictable.
+    // process sharing the directory may have re-stored it since the
+    // scan, and a re-stored entry is live, not evictable.
     const auto data = util::read_file(f.path.string());
     if (!data) continue;
     const auto entry = parse_entry(*data);
-    if (entry && entry->access > f.access) continue;
+    if (entry && recency_locked(f.name, entry->access) > f.access) continue;
     std::error_code remove_ec;
     if (fs::remove(f.path, remove_ec)) {
+      touched_.erase(f.name);
       ++stats_.evictions;
       counter("serve.disk_cache.evictions").add();
     }

@@ -7,11 +7,12 @@
 // hash of the cache key (two independent FNV-1a streams), written
 // atomically+durably via util::write_file_atomic so a concurrent reader
 // — in this process or another one sharing the directory — either sees a
-// complete entry or none.  The entry embeds a format version, a
-// monotonic access counter (the LRU clock), the full key (guarding
-// against hash collisions) and a checksum over the payload; anything
-// that fails validation on load is treated as a miss and dropped, so a
-// corrupt or stale cache heals itself instead of poisoning results.
+// complete entry or none.  The entry embeds a format version, the
+// access counter of its store (the persisted LRU clock), the full key
+// (guarding against hash collisions) and a checksum over the payload;
+// anything that fails validation on load is treated as a miss and
+// dropped, so a corrupt or stale cache heals itself instead of
+// poisoning results.
 //
 // Opening the store runs a generation-stamped recovery pass:
 //   * the generation stamp (file "generation") is bumped, so every
@@ -26,14 +27,19 @@
 //   * an interrupted eviction is completed from its journal (below).
 //
 // The store is size-capped: after a store pushes the directory past
-// `max_bytes`, the least recently used entries — by persisted access
-// counter, not mtime, whose 1-second granularity breaks ordering under
-// concurrent hits — are evicted.  Eviction first publishes an intent
-// journal ("evict.journal", atomic) listing victims with the access
-// counter each decision was based on; files are unlinked only while
-// their counter still matches, and recovery replays the same rule, so a
-// crash mid-eviction can never drop an entry that was touched after the
-// eviction decision.
+// `max_bytes`, the least recently used entries are evicted.  Recency is
+// a monotonic clock, not mtime, whose 1-second granularity breaks
+// ordering under concurrent hits.  A store persists its tick in the
+// entry; a load reads and never writes, so its tick stays in memory
+// (touched_), and the evictor ranks each entry by the larger of the
+// two.  Eviction order therefore survives a restart at store
+// granularity, and a hit in another process sharing the directory does
+// not protect an entry from this process's evictor.  Eviction first
+// publishes an intent journal ("evict.journal", atomic) listing victims
+// with the clock each decision was based on; files are unlinked only
+// while their clock still matches, and recovery replays the same rule
+// against the persisted clock, so a crash mid-eviction can never drop
+// an entry that was re-stored after the eviction decision.
 //
 // Entry format (text, see DESIGN.md §15):
 //   bbdc <entry-version>
@@ -54,6 +60,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "src/minimalist/cache.hpp"
 
@@ -131,6 +138,10 @@ class DiskCache : public minimalist::SynthCache::BackingStore {
                                   std::string_view payload,
                                   std::uint64_t access);
 
+  /// An entry's LRU clock: the larger of its persisted counter and the
+  /// tick of this process's last load of it.  Caller holds mu_.
+  std::uint64_t recency_locked(const std::string& filename,
+                               std::uint64_t persisted) const;
   /// Deletes a failed entry and counts it; missing files are fine.
   void drop_corrupt(const std::string& path);
   /// Evicts least-recently-used entries (journal-first) until the
@@ -144,7 +155,9 @@ class DiskCache : public minimalist::SynthCache::BackingStore {
   std::uint64_t max_bytes_;
   std::uint64_t generation_ = 0;
   mutable std::mutex mu_;  ///< serializes eviction scans and counters
-  std::uint64_t access_counter_ = 0;  ///< LRU clock, persisted in entries
+  std::uint64_t access_counter_ = 0;  ///< LRU clock; stores persist it
+  /// Entry file name -> clock tick of its last load in this process.
+  std::unordered_map<std::string, std::uint64_t> touched_;
   DiskCacheStats stats_;
 };
 

@@ -335,9 +335,8 @@ struct Server::Impl {
     minimalist::CacheTier tier = minimalist::CacheTier::kMiss;
     const bool use_cache = fopts.cache_instance != nullptr;
     const minimalist::SynthesizedController ctrl =
-        use_cache ? minimalist::synthesize_cached(
-                        spec, mode, *fopts.cache_instance,
-                        budget ? &*budget : nullptr, &tier)
+        use_cache ? flow::synthesize_cached(spec, mode, *fopts.cache_instance,
+                                            budget ? &*budget : nullptr, &tier)
                   : minimalist::synthesize(spec, mode,
                                            budget ? &*budget : nullptr);
 

@@ -1,6 +1,8 @@
 // Deterministic environment-fault injection: named failpoints compiled
 // into the I/O and service paths (same near-zero-overhead discipline as
-// src/obs: one relaxed atomic load when nothing is configured).
+// src/obs: one relaxed atomic load when nothing is configured).  One
+// site injects a synthesis defect instead (flow.synthesis.widen), so
+// tests can drive the synthesis cache's admission lint.
 //
 // A failpoint is a named site in the code that asks "should I fail
 // here?".  Sites are activated through the BB_FAILPOINTS environment

@@ -44,7 +44,9 @@ TEST(Registry, EveryPassRuleIsRegistered) {
     const std::string rules(pass.rules);
     for (std::size_t i = 0; i <= rules.size(); ++i) {
       if (i == rules.size() || rules[i] == ',' || rules[i] == ' ') {
-        if (!id.empty()) EXPECT_NE(lint::find_rule(id), nullptr) << id;
+        if (!id.empty()) {
+          EXPECT_NE(lint::find_rule(id), nullptr) << id;
+        }
         id.clear();
       } else {
         id += rules[i];

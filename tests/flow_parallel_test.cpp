@@ -219,11 +219,11 @@ TEST(SynthCache, RebindsNamesPositionally) {
 
   minimalist::SynthCache cache;
   minimalist::CacheTier tier = minimalist::CacheTier::kMemory;
-  const auto first = minimalist::synthesize_cached(
-      spec_a, minimalist::SynthMode::kSpeed, cache, nullptr, &tier);
+  const auto first = synthesize_cached(spec_a, minimalist::SynthMode::kSpeed,
+                                       cache, nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
-  const auto second = minimalist::synthesize_cached(
-      spec_b, minimalist::SynthMode::kSpeed, cache, nullptr, &tier);
+  const auto second = synthesize_cached(spec_b, minimalist::SynthMode::kSpeed,
+                                        cache, nullptr, &tier);
   EXPECT_NE(tier, minimalist::CacheTier::kMiss);
 
   const auto fresh = minimalist::synthesize(spec_b,
@@ -243,12 +243,12 @@ TEST(SynthCache, ModeIsPartOfTheKey) {
       "m");
   minimalist::SynthCache cache;
   minimalist::CacheTier tier = minimalist::CacheTier::kMemory;
-  minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, cache,
-                                nullptr, &tier);
+  synthesize_cached(spec, minimalist::SynthMode::kSpeed, cache, nullptr,
+                    &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
   tier = minimalist::CacheTier::kMemory;
-  minimalist::synthesize_cached(spec, minimalist::SynthMode::kArea, cache,
-                                nullptr, &tier);
+  synthesize_cached(spec, minimalist::SynthMode::kArea, cache, nullptr,
+                    &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMiss)
       << "area-mode synthesis must not reuse a speed entry";
   EXPECT_EQ(cache.stats().entries, 2u);

@@ -5,16 +5,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/balsa/compile.hpp"
+#include "src/balsa/parser.hpp"
+#include "src/bm/compile.hpp"
 #include "src/designs/designs.hpp"
 #include "src/flow/analyze.hpp"
 #include "src/flow/system.hpp"
 #include "src/flow/testbench.hpp"
+#include "src/hsnet/to_ch.hpp"
+#include "src/netlist/verilog.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/opt/cluster.hpp"
+#include "src/util/io.hpp"
 #include "src/util/strings.hpp"
+#include "tests/reference_lint.hpp"
 
 namespace bb::flow {
 namespace {
@@ -118,8 +129,9 @@ TEST(Flow, SsemStoresExpectedValues) {
 }
 
 TEST(Flow, EachFlowTableIsExtractedOnce) {
-  // A cache miss lints against the flow table synthesis extracted; a hit
-  // extracts it once inside the lint.  Either way, one per controller.
+  // A cache miss extracts its flow table once, inside synthesis, and the
+  // admission lint reuses it.  A hit was linted before it was stored, so
+  // it extracts nothing.
   const auto& extracted =
       obs::Registry::global().counter("minimalist.extracted");
   for (const char* name : {"stack", "ssem"}) {
@@ -131,13 +143,85 @@ TEST(Flow, EachFlowTableIsExtractedOnce) {
 
     std::uint64_t before = extracted.value();
     const auto cold = synthesize_control(net, options);
-    EXPECT_EQ(extracted.value() - before, cold.controllers.size());
+    EXPECT_GT(cold.timings.cache_misses, 0u);
+    EXPECT_EQ(extracted.value() - before, cold.timings.cache_misses);
 
     before = extracted.value();
     const auto warm = synthesize_control(net, options);
     EXPECT_EQ(warm.timings.cache_misses, 0u);
-    EXPECT_EQ(extracted.value() - before, warm.controllers.size());
+    EXPECT_EQ(extracted.value() - before, warm.timings.cache_misses);
     EXPECT_EQ(report(warm), report(cold));
+  }
+}
+
+/// The four paper designs and every procedure of examples/*.balsa, in a
+/// fixed order, as (label, handshake netlist) pairs.
+std::vector<std::pair<std::string, hsnet::Netlist>> paper_and_example_nets() {
+  std::vector<std::pair<std::string, hsnet::Netlist>> nets;
+  for (const char* name : {"systolic", "wagging", "stack", "ssem"}) {
+    nets.emplace_back(name,
+                      balsa::compile_source(designs::design(name).source));
+  }
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(BB_EXAMPLES_DIR)) {
+    if (entry.path().extension() == ".balsa") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  for (const auto& path : paths) {
+    const auto source = util::read_file(path.string());
+    if (!source) {
+      ADD_FAILURE() << "cannot read " << path;
+      continue;
+    }
+    for (const auto& procedure : balsa::parse_program(*source)) {
+      nets.emplace_back(path.filename().string() + ":" + procedure.name,
+                        balsa::compile(procedure));
+    }
+  }
+  return nets;
+}
+
+TEST(Flow, WarmCacheHitsAreLintCleanAndMatchTheUncachedFlow) {
+  // One cache shared by a cold and a warm pass over every design.  The
+  // warm pass hits on every controller, and each hit is a controller the
+  // reference MN lint (re-extracting the flow table from the spec) finds
+  // clean, with the uncached flow's report and Verilog.
+  const auto nets = paper_and_example_nets();
+  ASSERT_GT(nets.size(), 4u);
+  minimalist::SynthCache cache;
+  FlowOptions cached = FlowOptions::optimized();
+  cached.cache_instance = &cache;
+  for (const auto& [label, net] : nets) synthesize_control(net, cached);
+
+  for (const auto& [label, net] : nets) {
+    SCOPED_TRACE(label);
+    const auto warm = synthesize_control(net, cached);
+    const auto fresh = synthesize_control(net, FlowOptions::optimized());
+    EXPECT_EQ(report(warm), report(fresh));
+    EXPECT_EQ(netlist::to_verilog(warm.gates),
+              netlist::to_verilog(fresh.gates));
+
+    // The flow's controllers, compiled the way the flow compiles them.
+    std::vector<ch::Program> programs;
+    for (const int id : net.control_ids()) {
+      programs.push_back(hsnet::to_ch(net.component(id)));
+    }
+    opt::ClusterOptions copts;
+    copts.max_states = cached.max_states;
+    const auto clustered = opt::optimize(std::move(programs), copts);
+    ASSERT_EQ(clustered.size(), warm.controllers.size());
+    ASSERT_EQ(warm.timings.controllers.size(), warm.controllers.size());
+    for (std::size_t i = 0; i < clustered.size(); ++i) {
+      const auto& ctrl = warm.controllers[i];
+      SCOPED_TRACE(ctrl.name);
+      EXPECT_TRUE(warm.timings.controllers[i].cache_hit);
+      const bm::Spec spec = bm::compile(*clustered[i].program.body,
+                                        clustered[i].program.name);
+      const lint::Report mn = lint::lint_two_level(ctrl, spec);
+      EXPECT_TRUE(mn.empty()) << mn.to_text();
+      EXPECT_EQ(ctrl.to_sol(), fresh.controllers[i].to_sol());
+    }
   }
 }
 

@@ -24,6 +24,7 @@
 #include "src/lint/sarif.hpp"
 #include "src/minimalist/synth.hpp"
 #include "src/opt/cluster.hpp"
+#include "tests/reference_lint.hpp"
 
 namespace bb::lint {
 namespace {

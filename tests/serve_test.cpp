@@ -21,7 +21,10 @@
 
 #include <cstdio>
 
+#include "src/balsa/compile.hpp"
 #include "src/bm/parse.hpp"
+#include "src/designs/designs.hpp"
+#include "src/flow/flow.hpp"
 #include "src/minimalist/cache.hpp"
 #include "src/minimalist/synth.hpp"
 #include "src/serve/client.hpp"
@@ -29,9 +32,12 @@
 #include "src/serve/disk_cache.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
+#include "src/util/failpoint.hpp"
 #include "src/util/hash.hpp"
+#include "src/util/io.hpp"
 #include "src/util/json.hpp"
 #include "src/util/json_parse.hpp"
+#include "tests/reference_lint.hpp"
 
 namespace fs = std::filesystem;
 using namespace bb;
@@ -281,6 +287,24 @@ TEST(DiskCache, EvictsLeastRecentlyUsedPastSizeCap) {
   EXPECT_TRUE(fs::exists(cache.entry_path("new")));
 }
 
+TEST(DiskCache, LoadReadsAndNeverWrites) {
+  TempDir dir("readonly_hit");
+  serve::DiskCache cache(dir.str());
+  cache.store("key1", wire_ctrl());
+  const std::string path = cache.entry_path("key1");
+  const auto stored = util::read_file(path);
+  ASSERT_TRUE(stored.has_value());
+  // Hits in this instance and in a second one on the same directory.
+  ASSERT_TRUE(cache.load("key1").has_value());
+  ASSERT_TRUE(cache.load("key1").has_value());
+  ASSERT_TRUE(serve::DiskCache(dir.str()).load("key1").has_value());
+  EXPECT_EQ(util::read_file(path), stored) << "a hit rewrote its entry";
+  for (const auto& it : fs::directory_iterator(dir.path)) {
+    EXPECT_EQ(it.path().filename().string().find(".tmp."), std::string::npos)
+        << it.path();
+  }
+}
+
 // ---- crash recovery ----
 
 TEST(DiskCache, RecoveryScavengesStaleWriteTemporaries) {
@@ -437,25 +461,25 @@ TEST(SynthCacheTiers, DiskTierPersistsAcrossCacheInstances) {
   {
     minimalist::SynthCache mem;
     mem.set_backing_store(&disk);
-    minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
-                                  nullptr, &tier);
+    flow::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
+                            nullptr, &tier);
     EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
-    minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
-                                  nullptr, &tier);
+    flow::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
+                            nullptr, &tier);
     EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
   }
   // A fresh memory tier (daemon restart) hits the disk tier, and the
   // result is byte-identical to a fresh synthesis.
   minimalist::SynthCache mem;
   mem.set_backing_store(&disk);
-  const auto cached = minimalist::synthesize_cached(
+  const auto cached = flow::synthesize_cached(
       spec, minimalist::SynthMode::kSpeed, mem, nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kDisk);
   EXPECT_EQ(cached.to_sol(), wire_ctrl().to_sol());
   EXPECT_EQ(mem.stats().disk_hits, 1u);
   // The disk hit was promoted into memory.
-  minimalist::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
-                                nullptr, &tier);
+  flow::synthesize_cached(spec, minimalist::SynthMode::kSpeed, mem,
+                          nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
 }
 
@@ -465,24 +489,123 @@ TEST(SynthCacheTiers, MemoryTierEvictsLruAtCap) {
   const bm::Spec wire_area = wire;  // same spec, distinct (spec, mode) key
   minimalist::SynthCache cache;
   cache.set_max_entries(2);
-  minimalist::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache);
-  minimalist::synthesize_cached(seq, minimalist::SynthMode::kSpeed, cache);
+  flow::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache);
+  flow::synthesize_cached(seq, minimalist::SynthMode::kSpeed, cache);
   // Touch `wire` so `seq` is the least recently used...
   minimalist::CacheTier tier;
-  minimalist::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache,
-                                nullptr, &tier);
+  flow::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache,
+                          nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
   // ...and a third entry evicts `seq`, not `wire`.
-  minimalist::synthesize_cached(wire_area, minimalist::SynthMode::kArea,
-                                cache);
+  flow::synthesize_cached(wire_area, minimalist::SynthMode::kArea, cache);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 2u);
-  minimalist::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache,
-                                nullptr, &tier);
+  flow::synthesize_cached(wire, minimalist::SynthMode::kSpeed, cache,
+                          nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
-  minimalist::synthesize_cached(seq, minimalist::SynthMode::kSpeed, cache,
-                                nullptr, &tier);
+  flow::synthesize_cached(seq, minimalist::SynthMode::kSpeed, cache,
+                          nullptr, &tier);
   EXPECT_EQ(tier, minimalist::CacheTier::kMiss) << "seq should be evicted";
+}
+
+/// Arms `flow.synthesis.widen` once: the next controller synthesized on
+/// a cache miss has its first product widened to the all-don't-care
+/// cube, which meets the OFF-set (an MN001 finding).
+class WidenOnce {
+ public:
+  WidenOnce() {
+    EXPECT_TRUE(util::Failpoints::set("flow.synthesis.widen", "once"));
+  }
+  ~WidenOnce() { util::Failpoints::clear(); }
+};
+
+TEST(SynthCacheTiers, ControllerFailingTheMnLintIsNotStored) {
+  if (!util::Failpoints::compiled_in()) GTEST_SKIP() << "no failpoints";
+  TempDir dir("admission");
+  serve::DiskCache disk(dir.str());
+  minimalist::SynthCache cache;
+  cache.set_backing_store(&disk);
+  const bm::Spec spec = bm::parse_bms(kWireBms);
+  minimalist::CacheTier tier;
+  lint::Report findings;
+  minimalist::SynthesizedController widened;
+  {
+    WidenOnce widen;
+    widened = flow::synthesize_cached(spec, minimalist::SynthMode::kSpeed,
+                                      cache, nullptr, &tier, &findings);
+  }
+  EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
+  EXPECT_NE(widened.to_sol(), wire_ctrl().to_sol());
+  // The admission lint reports what the reference lint reports.
+  ASSERT_TRUE(findings.has_errors());
+  EXPECT_NE(findings.to_text().find("MN001"), std::string::npos);
+  EXPECT_EQ(findings.to_json(), lint::lint_two_level(widened, spec).to_json());
+  // Neither tier stored it, so a later lookup misses.
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(disk.stats().stores, 0u);
+  EXPECT_FALSE(
+      cache.lookup(spec, minimalist::SynthMode::kSpeed, &tier).has_value());
+  EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
+  // The next miss synthesizes the clean controller and admits it.
+  const auto clean = flow::synthesize_cached(
+      spec, minimalist::SynthMode::kSpeed, cache, nullptr, &tier, &findings);
+  EXPECT_EQ(tier, minimalist::CacheTier::kMiss);
+  EXPECT_TRUE(findings.empty());
+  EXPECT_EQ(clean.to_sol(), wire_ctrl().to_sol());
+  EXPECT_EQ(disk.stats().stores, 1u);
+  flow::synthesize_cached(spec, minimalist::SynthMode::kSpeed, cache, nullptr,
+                          &tier, &findings);
+  EXPECT_EQ(tier, minimalist::CacheTier::kMemory);
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(SynthCacheTiers, FlowRejectsOrDegradesAControllerTheCacheRefused) {
+  if (!util::Failpoints::compiled_in()) GTEST_SKIP() << "no failpoints";
+  const auto net =
+      balsa::compile_source(designs::design("wagging").source);
+  flow::FlowOptions options = flow::FlowOptions::optimized();
+  options.jobs = 1;
+  minimalist::SynthCache cache;
+  options.cache_instance = &cache;
+
+  // Strict: the MN finding aborts the flow with a LintError.
+  std::string lint_error;
+  {
+    WidenOnce widen;
+    try {
+      flow::synthesize_control(net, options);
+      ADD_FAILURE() << "expected flow::LintError";
+    } catch (const flow::LintError& e) {
+      lint_error = e.what();
+      EXPECT_EQ(e.stage().rfind("two-level logic of controller '", 0), 0u)
+          << e.stage();
+      EXPECT_TRUE(e.report().has_errors());
+    }
+  }
+  EXPECT_NE(lint_error.find("MN001"), std::string::npos) << lint_error;
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  // Non-strict: the same finding degrades the controller to its
+  // per-component baseline, with the LintError as the reason.
+  options.strict = false;
+  {
+    WidenOnce widen;
+    const auto degraded = flow::synthesize_control(net, options);
+    ASSERT_EQ(degraded.failures.size(), 1u);
+    EXPECT_EQ(degraded.failures[0].stage, flow::FlowStage::kLint);
+    EXPECT_EQ(degraded.failures[0].rule, "FL005");
+    EXPECT_EQ(degraded.failures[0].reason, lint_error);
+  }
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  // Nothing refused was stored: the next run misses, admits the clean
+  // controller, and matches an uncached flow.
+  const auto healthy = flow::synthesize_control(net, options);
+  EXPECT_TRUE(healthy.failures.empty());
+  EXPECT_EQ(healthy.timings.cache_misses, healthy.controllers.size());
+  options.cache_instance = nullptr;
+  EXPECT_EQ(flow::report(healthy),
+            flow::report(flow::synthesize_control(net, options)));
 }
 
 // ---- protocol ----
