@@ -101,6 +101,7 @@ lint::Report analyze_bm(const bm::Spec& spec,
   Valuation all_low;
   for (const std::string& s : signals) all_low[s] = false;
 
+  const bm::OutArcs out_arcs(spec);
   std::map<int, std::vector<Valuation>> entries;
   std::deque<int> queue;
   entries[spec.initial_state].push_back(all_low);
@@ -112,7 +113,7 @@ lint::Report analyze_bm(const bm::Spec& spec,
     // valuations are recorded for AN001 but not expanded, so the
     // traversal terminates on inconsistent machines too.
     const Valuation& entry = entries[s].front();
-    for (const bm::Arc* a : spec.arcs_from(s)) {
+    for (const bm::Arc* a : out_arcs.from(s)) {
       Valuation vals = entry;
       for (const ch::Transition& t : a->in_burst.transitions) {
         vals[t.signal] = t.rising;
@@ -133,7 +134,7 @@ lint::Report analyze_bm(const bm::Spec& spec,
   for (const auto& [state, vals] : entries) {
     if (vals.size() < 2) continue;
     std::set<std::string> monitored;
-    for (const bm::Arc* a : spec.arcs_from(state)) {
+    for (const bm::Arc* a : out_arcs.from(state)) {
       for (const ch::Transition& t : a->in_burst.transitions) {
         monitored.insert(t.signal);
       }
@@ -166,7 +167,7 @@ lint::Report analyze_bm(const bm::Spec& spec,
   // Per-state checks against the canonical entry valuation.
   for (const auto& [state, vals] : entries) {
     const Valuation& entry = vals.front();
-    const auto arcs = spec.arcs_from(state);
+    const auto& arcs = out_arcs.from(state);
 
     struct Effective {
       const bm::Arc* arc;

@@ -1,9 +1,10 @@
 #include "src/bm/compile.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace bb::bm {
 
@@ -143,7 +144,8 @@ class Builder {
       return;
     }
     const int next = new_state();
-    emit_arc(cur.state, next, Burst{cur.in}, Burst{cur.out});
+    emit_arc(cur.state, next, Burst{std::move(cur.in)},
+             Burst{std::move(cur.out)});
     cur.state = next;
     cur.in.clear();
     cur.out.clear();
@@ -195,8 +197,8 @@ class Builder {
           if (cur.resurrected || (cur.in.empty() && cur.out.empty())) {
             unite(target, cur.state);
           } else {
-            emit_arc(cur.state, target, Burst{cur.in}, Burst{cur.out},
-                     item.label);
+            emit_arc(cur.state, target, Burst{std::move(cur.in)},
+                     Burst{std::move(cur.out)}, item.label);
           }
           cur.reachable = false;
           cur.in.clear();
@@ -259,48 +261,69 @@ class Builder {
       }
     }
 
-    // BFS renumbering from the initial state.
-    std::map<int, int> number;
+    // BFS renumbering from the initial state, over arcs indexed by their
+    // source state once.
+    std::vector<std::vector<int>> successors(parent_.size());
+    for (const RawArc& a : arcs_) {
+      successors[static_cast<std::size_t>(a.from)].push_back(a.to);
+    }
+    std::vector<int> number(parent_.size(), -1);
     std::deque<int> queue;
     const int init = find(start);
-    number[init] = 0;
+    int numbered = 0;
+    number[static_cast<std::size_t>(init)] = numbered++;
     queue.push_back(init);
     while (!queue.empty()) {
       const int s = queue.front();
       queue.pop_front();
-      for (const RawArc& a : arcs_) {
-        if (a.from == s && !number.count(a.to)) {
-          number[a.to] = static_cast<int>(number.size());
-          queue.push_back(a.to);
+      for (const int to : successors[static_cast<std::size_t>(s)]) {
+        if (number[static_cast<std::size_t>(to)] < 0) {
+          number[static_cast<std::size_t>(to)] = numbered++;
+          queue.push_back(to);
         }
       }
     }
 
     spec_.initial_state = 0;
-    spec_.num_states = static_cast<int>(number.size());
-    std::set<std::string> seen;
+    spec_.num_states = numbered;
+    // Arcs kept so far, by (from, to), for dropping duplicates.
+    std::map<std::pair<int, int>, std::vector<std::size_t>> kept;
     for (RawArc& a : arcs_) {
-      if (!number.count(a.from)) continue;  // unreachable
+      const int from = number[static_cast<std::size_t>(a.from)];
+      if (from < 0) continue;  // unreachable
       Arc out;
-      out.from = number[a.from];
-      out.to = number[a.to];
+      out.from = from;
+      out.to = number[static_cast<std::size_t>(a.to)];
       out.in_burst = std::move(a.in);
       out.out_burst = std::move(a.out);
       out.in_burst.normalize();
       out.out_burst.normalize();
-      const std::string key = std::to_string(out.from) + ">" +
-                              std::to_string(out.to) + ":" +
-                              out.in_burst.to_string() + "|" +
-                              out.out_burst.to_string();
-      if (!seen.insert(key).second) continue;  // duplicate arc
+      std::vector<std::size_t>& twins = kept[{out.from, out.to}];
+      const bool duplicate =
+          std::any_of(twins.begin(), twins.end(), [&](std::size_t k) {
+            return same_edges(spec_.arcs[k].in_burst, out.in_burst) &&
+                   same_edges(spec_.arcs[k].out_burst, out.out_burst);
+          });
+      if (duplicate) continue;
       for (const Transition& t : out.in_burst.transitions) {
         spec_.is_input[t.signal] = true;
       }
       for (const Transition& t : out.out_burst.transitions) {
         spec_.is_input[t.signal] = false;
       }
+      twins.push_back(spec_.arcs.size());
       spec_.arcs.push_back(std::move(out));
     }
+  }
+
+  /// True when two normalized bursts list the same edges in the same
+  /// order (what equal Burst::to_string texts mean).
+  static bool same_edges(const Burst& a, const Burst& b) {
+    return std::equal(a.transitions.begin(), a.transitions.end(),
+                      b.transitions.begin(), b.transitions.end(),
+                      [](const Transition& x, const Transition& y) {
+                        return x.rising == y.rising && x.signal == y.signal;
+                      });
   }
 
   Spec spec_;
@@ -314,8 +337,7 @@ class Builder {
 
 Spec compile(const ch::Expr& expr, const std::string& name,
              const ch::ExpandOptions& options) {
-  const ch::Expansion expansion = ch::expand(expr, options);
-  return compile_items(expansion.flatten(), name);
+  return compile_items(ch::expand(expr, options).flatten(), name);
 }
 
 Spec compile_items(const ItemSeq& items, const std::string& name) {

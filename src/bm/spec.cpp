@@ -53,12 +53,26 @@ std::vector<std::string> Spec::output_names() const {
   return out;
 }
 
-std::vector<const Arc*> Spec::arcs_from(int state) const {
-  std::vector<const Arc*> out;
-  for (const Arc& a : arcs) {
-    if (a.from == state) out.push_back(&a);
+OutArcs::OutArcs(const Spec& spec) {
+  if (spec.arcs.empty()) return;
+  int lo = spec.arcs.front().from;
+  int hi = lo;
+  for (const Arc& a : spec.arcs) {
+    lo = std::min(lo, a.from);
+    hi = std::max(hi, a.from);
   }
-  return out;
+  first_ = lo;
+  by_state_.resize(static_cast<std::size_t>(hi - lo) + 1);
+  for (const Arc& a : spec.arcs) {
+    by_state_[static_cast<std::size_t>(a.from - lo)].push_back(&a);
+  }
+}
+
+const std::vector<const Arc*>& OutArcs::from(int state) const {
+  if (state < first_ || state - first_ >= static_cast<int>(by_state_.size())) {
+    return none_;
+  }
+  return by_state_[static_cast<std::size_t>(state - first_)];
 }
 
 std::string Spec::to_bms() const {

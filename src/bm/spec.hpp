@@ -53,9 +53,6 @@ struct Spec {
   std::vector<std::string> input_names() const;
   std::vector<std::string> output_names() const;
 
-  /// Arcs leaving `state`.
-  std::vector<const Arc*> arcs_from(int state) const;
-
   /// Renders in the textual ".bms" format used by Burst-Mode tools:
   ///   name <name> / input <sig> <initial> / output <sig> <initial> /
   ///   <from> <to> <in burst> | <out burst>
@@ -72,6 +69,20 @@ struct Spec {
 
   /// Graphviz rendering for inspection.
   std::string to_dot() const;
+};
+
+/// The arcs leaving each state, in arc order, indexed in one pass over
+/// the arcs.  Any state number is a valid query: one that no arc leaves
+/// has an empty list.
+class OutArcs {
+ public:
+  explicit OutArcs(const Spec& spec);
+  const std::vector<const Arc*>& from(int state) const;
+
+ private:
+  int first_ = 0;  ///< state number of by_state_[0]
+  std::vector<std::vector<const Arc*>> by_state_;
+  std::vector<const Arc*> none_;
 };
 
 }  // namespace bb::bm

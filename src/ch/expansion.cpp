@@ -32,21 +32,20 @@ struct Context {
 
 Expansion expand_rec(const Expr& e, Context& ctx);
 
-ItemSeq concat(std::initializer_list<const ItemSeq*> seqs) {
-  ItemSeq out;
-  for (const ItemSeq* s : seqs) out.insert(out.end(), s->begin(), s->end());
-  return out;
+/// Appends `tail` to `head` by moving its items.
+ItemSeq concat(ItemSeq head, ItemSeq&& tail) {
+  head.insert(head.end(), std::make_move_iterator(tail.begin()),
+              std::make_move_iterator(tail.end()));
+  return head;
 }
 
 /// Applies Table 2 to combine two expansions under an interleaving
 /// operator.  `op` must be an interleaving operator; legality has already
 /// been established (or deliberately bypassed for the ablation study).
-Expansion combine(ExprKind op, const Expansion& a, const Expansion& b) {
-  const ItemSeq& a1 = a.events[0];
-  const ItemSeq& a2 = a.events[1];
-  const ItemSeq& a3 = a.events[2];
-  const ItemSeq& a4 = a.events[3];
-  const ItemSeq b_all = b.flatten();
+/// Both expansions are consumed: their items move into the result.
+Expansion combine(ExprKind op, Expansion a, Expansion b) {
+  auto& [a1, a2, a3, a4] = a.events;
+  auto& [b1, b2, b3, b4] = b.events;
 
   Expansion out;
   // Result activity: first argument decides; a void first argument defers
@@ -56,42 +55,40 @@ Expansion combine(ExprKind op, const Expansion& a, const Expansion& b) {
   switch (op) {
     case ExprKind::kEncEarly:
       if (a.activity == Activity::kActive) {
-        out.events = {a1, concat({&a2, &b_all}), a3, a4};
+        out.events = {std::move(a1),
+                      concat(std::move(a2), std::move(b).flatten()),
+                      std::move(a3), std::move(a4)};
       } else {
-        out.events = {concat({&a1, &b_all}), a2, a3, a4};
+        out.events = {concat(std::move(a1), std::move(b).flatten()),
+                      std::move(a2), std::move(a3), std::move(a4)};
       }
       break;
     case ExprKind::kEncLate:
-      out.events = {a1, a2, a3, concat({&b_all, &a4})};
+      out.events = {std::move(a1), std::move(a2), std::move(a3),
+                    concat(std::move(b).flatten(), std::move(a4))};
       break;
-    case ExprKind::kEncMiddle: {
-      const ItemSeq& b1 = b.events[0];
-      const ItemSeq& b2 = b.events[1];
-      const ItemSeq& b3 = b.events[2];
-      const ItemSeq& b4 = b.events[3];
-      out.events = {concat({&a1, &b1}), concat({&b2, &a2}),
-                    concat({&a3, &b3}), concat({&b4, &a4})};
+    case ExprKind::kEncMiddle:
+      out.events = {concat(std::move(a1), std::move(b1)),
+                    concat(std::move(b2), std::move(a2)),
+                    concat(std::move(a3), std::move(b3)),
+                    concat(std::move(b4), std::move(a4))};
       break;
-    }
-    case ExprKind::kSeq: {
-      const ItemSeq& b1 = b.events[0];
-      out.events = {concat({&a1, &a2, &a3, &a4, &b1}), b.events[1],
-                    b.events[2], b.events[3]};
+    case ExprKind::kSeq:
+      out.events = {concat(std::move(a).flatten(), std::move(b1)),
+                    std::move(b2), std::move(b3), std::move(b4)};
       break;
-    }
-    case ExprKind::kSeqOv: {
-      const ItemSeq& b1 = b.events[0];
-      const ItemSeq& b2 = b.events[1];
-      const ItemSeq& b3 = b.events[2];
-      const ItemSeq& b4 = b.events[3];
-      out.events = {concat({&a1, &a2}), concat({&b1, &b2}),
-                    concat({&a3, &a4}), concat({&b3, &b4})};
+    case ExprKind::kSeqOv:
+      out.events = {concat(std::move(a1), std::move(a2)),
+                    concat(std::move(b1), std::move(b2)),
+                    concat(std::move(a3), std::move(a4)),
+                    concat(std::move(b3), std::move(b4))};
       out.activity = Activity::kActive;
       break;
-    }
     case ExprKind::kMutex: {
-      const ItemSeq a_all = a.flatten();
-      out.events[0].push_back(Item::make_choice({a_all, b_all}));
+      std::vector<ItemSeq> alternatives;
+      alternatives.push_back(std::move(a).flatten());
+      alternatives.push_back(std::move(b).flatten());
+      out.events[0].push_back(Item::make_choice(std::move(alternatives)));
       out.activity = Activity::kPassive;
       break;
     }
@@ -185,9 +182,10 @@ Expansion expand_mux_ack(const Expr& e, Context& ctx) {
     share.events[2].push_back(Item::make(tr(false, p + "_r", false)));
     share.events[3].push_back(Item::make(tr(true, ack, false)));
 
-    const Expansion body = expand_rec(*branch.body, ctx);
+    Expansion body = expand_rec(*branch.body, ctx);
     check_legal(branch.op, share, body, ctx);
-    alternatives.push_back(combine(branch.op, share, body).flatten());
+    alternatives.push_back(
+        combine(branch.op, std::move(share), std::move(body)).flatten());
   }
   out.events[0].push_back(Item::make(tr(false, p + "_r", true)));
   out.events[0].push_back(Item::make_choice(std::move(alternatives)));
@@ -213,9 +211,10 @@ Expansion expand_mux_req(const Expr& e, Context& ctx) {
     share.events[2].push_back(Item::make(tr(true, req, false)));
     share.events[3].push_back(Item::make(tr(false, p + "_a", false)));
 
-    const Expansion body = expand_rec(*branch.body, ctx);
+    Expansion body = expand_rec(*branch.body, ctx);
     check_legal(branch.op, share, body, ctx);
-    alternatives.push_back(combine(branch.op, share, body).flatten());
+    alternatives.push_back(
+        combine(branch.op, std::move(share), std::move(body)).flatten());
   }
   out.events[0].push_back(Item::make_choice(std::move(alternatives)));
   return out;
@@ -250,15 +249,14 @@ Expansion expand_rec(const Expr& e, Context& ctx) {
       const std::string start = ctx.fresh_label("L");
       const std::string end = ctx.fresh_label("E");
       ctx.loop_end_labels.push_back(end);
-      const Expansion body = expand_rec(*e.args.at(0), ctx);
+      Expansion body = expand_rec(*e.args.at(0), ctx);
       ctx.loop_end_labels.pop_back();
 
       Expansion out;
       out.activity = body.activity;
       ItemSeq& ev = out.events[0];
       ev.push_back(Item::make_label(start));
-      const ItemSeq flat = body.flatten();
-      ev.insert(ev.end(), flat.begin(), flat.end());
+      ev = concat(std::move(ev), std::move(body).flatten());
       ev.push_back(Item::make_goto(start));
       ev.push_back(Item::make_label(end));
       return out;
@@ -277,10 +275,10 @@ Expansion expand_rec(const Expr& e, Context& ctx) {
     case ExprKind::kSeq:
     case ExprKind::kSeqOv:
     case ExprKind::kMutex: {
-      const Expansion a = expand_rec(*e.args.at(0), ctx);
-      const Expansion b = expand_rec(*e.args.at(1), ctx);
+      Expansion a = expand_rec(*e.args.at(0), ctx);
+      Expansion b = expand_rec(*e.args.at(1), ctx);
       check_legal(e.kind, a, b, ctx);
-      return combine(e.kind, a, b);
+      return combine(e.kind, std::move(a), std::move(b));
     }
   }
   throw std::logic_error("expand: unknown expression kind");
@@ -343,9 +341,18 @@ Item Item::make_choice(std::vector<std::vector<Item>> alts) {
   return i;
 }
 
-ItemSeq Expansion::flatten() const {
+ItemSeq Expansion::flatten() const& {
   ItemSeq out;
   for (const ItemSeq& ev : events) out.insert(out.end(), ev.begin(), ev.end());
+  return out;
+}
+
+ItemSeq Expansion::flatten() && {
+  ItemSeq out = std::move(events[0]);
+  for (std::size_t i = 1; i < 4; ++i) {
+    out.insert(out.end(), std::make_move_iterator(events[i].begin()),
+               std::make_move_iterator(events[i].end()));
+  }
   return out;
 }
 

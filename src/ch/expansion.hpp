@@ -46,8 +46,10 @@ struct Expansion {
   std::array<ItemSeq, 4> events;
   Activity activity = Activity::kNeither;
 
-  /// Concatenation of the four events: the intermediate form.
-  ItemSeq flatten() const;
+  /// Concatenation of the four events: the intermediate form.  The
+  /// rvalue form moves the items out instead of copying them.
+  ItemSeq flatten() const&;
+  ItemSeq flatten() &&;
 };
 
 /// Raised when an expansion would require an operator/activity combination

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "src/balsa/compile.hpp"
-#include "src/bm/compile.hpp"
 #include "src/designs/designs.hpp"
 #include "src/flow/system.hpp"
 #include "src/hsnet/to_ch.hpp"
@@ -75,7 +74,7 @@ std::vector<MonitorSpec> monitor_specs(const hsnet::Netlist& net,
   std::vector<MonitorSpec> specs;
   for (const auto& cp : clustered) {
     try {
-      const bm::Spec machine = bm::compile(*cp.program.body, cp.program.name);
+      const bm::Spec machine = opt::machine_of(cp);
       std::set<std::string> signals;
       bool monitorable = true;
       for (const auto& [signal, is_input] : machine.is_input) {

@@ -4,7 +4,6 @@
 #include <memory>
 #include <set>
 
-#include "src/bm/compile.hpp"
 #include "src/flow/system.hpp"
 #include "src/flow/testbench.hpp"
 #include "src/hsnet/to_ch.hpp"
@@ -17,7 +16,6 @@
 #include "src/trace/verify.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/prng.hpp"
-#include "src/util/strings.hpp"
 
 namespace bb::fuzz {
 
@@ -231,19 +229,6 @@ OracleResult differential_check(const hsnet::Netlist& netlist,
 
 namespace {
 
-/// Splits a T2 fragment tag "<call>.fragN" into its call name and
-/// 1-based client index, or returns false for ordinary member names.
-bool parse_fragment_tag(const std::string& tag, std::string& call_name,
-                        int& index) {
-  const std::size_t dot = tag.rfind(".frag");
-  if (dot == std::string::npos) return false;
-  const auto n = util::parse_ll(tag.substr(dot + 5));
-  if (!n.has_value() || *n < 1) return false;
-  call_name = tag.substr(0, dot);
-  index = static_cast<int>(*n);
-  return true;
-}
-
 /// Rebuilds one CH member program for the T2 call fragments a cluster
 /// absorbed from a single Call component.  The fragments of one call
 /// act on the same server channel, so modelling them as independent
@@ -297,7 +282,7 @@ ClusterMembers cluster_members(const hsnet::Netlist& netlist,
     int index = 0;
     if (it != by_name.end()) {
       out.members.push_back(it->second->body.get());
-    } else if (parse_fragment_tag(member, call_name, index)) {
+    } else if (opt::parse_fragment_tag(member, call_name, index)) {
       call_fragments[call_name].push_back(index);
     } else {
       throw std::runtime_error("unknown cluster member " + member);
@@ -364,7 +349,7 @@ OracleResult conformance_check(const hsnet::Netlist& netlist,
       // Every controller's CH traces must be accepted by the trace
       // language of its compiled Burst-Mode machine.
       try {
-        const bm::Spec spec = bm::compile(*cp.program.body, cp.program.name);
+        const bm::Spec spec = opt::machine_of(cp);
         const trace::Dfa spec_dfa =
             trace::determinize(trace::bm_spec_lts(spec));
         const trace::Dfa ch_dfa = trace::determinize(

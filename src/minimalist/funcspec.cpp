@@ -28,13 +28,14 @@ StateValuations compute_valuations(const bm::Spec& spec) {
   for (const auto& entry : spec.is_input) initial[entry.first] = false;
 
   std::vector<bool> seen(spec.num_states, false);
+  const bm::OutArcs out_arcs(spec);
   vals.at_state[spec.initial_state] = initial;
   seen[spec.initial_state] = true;
   std::deque<int> queue{spec.initial_state};
   while (!queue.empty()) {
     const int s = queue.front();
     queue.pop_front();
-    for (const bm::Arc* arc : spec.arcs_from(s)) {
+    for (const bm::Arc* arc : out_arcs.from(s)) {
       std::map<std::string, bool> v = vals.at_state[s];
       for (const ch::Transition& t : arc->in_burst.transitions) {
         v[t.signal] = t.rising;

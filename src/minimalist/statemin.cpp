@@ -13,7 +13,8 @@ namespace bb::minimalist {
 namespace {
 
 /// Entry valuation per state, as a canonical string.
-std::vector<std::string> entry_signatures(const bm::Spec& spec) {
+std::vector<std::string> entry_signatures(const bm::Spec& spec,
+                                          const bm::OutArcs& out_arcs) {
   std::vector<std::map<std::string, bool>> vals(spec.num_states);
   std::vector<bool> seen(spec.num_states, false);
   for (const auto& entry : spec.is_input) {
@@ -24,7 +25,7 @@ std::vector<std::string> entry_signatures(const bm::Spec& spec) {
   while (!queue.empty()) {
     const int s = queue.front();
     queue.pop_front();
-    for (const bm::Arc* arc : spec.arcs_from(s)) {
+    for (const bm::Arc* arc : out_arcs.from(s)) {
       auto v = vals[s];
       for (const auto& t : arc->in_burst.transitions) v[t.signal] = t.rising;
       for (const auto& t : arc->out_burst.transitions) v[t.signal] = t.rising;
@@ -54,8 +55,9 @@ StateMinResult minimize_states(const bm::Spec& spec,
   // Initial partition: entry valuation + the initial-state marker (the
   // initial state must stay in its own mergeable group only with states
   // that are truly equivalent to it, which refinement decides).
+  const bm::OutArcs out_arcs(spec);
   std::vector<int> block = [&] {
-    const auto sig = entry_signatures(spec);
+    const auto sig = entry_signatures(spec, out_arcs);
     std::map<std::string, int> index;
     std::vector<int> out(spec.num_states);
     for (int s = 0; s < spec.num_states; ++s) {
@@ -80,7 +82,7 @@ StateMinResult minimize_states(const bm::Spec& spec,
     std::vector<int> next(spec.num_states);
     for (int s = 0; s < spec.num_states; ++s) {
       std::map<std::string, std::string> arcs;
-      for (const bm::Arc* a : spec.arcs_from(s)) {
+      for (const bm::Arc* a : out_arcs.from(s)) {
         arcs[a->in_burst.to_string()] =
             a->out_burst.to_string() + ">" + std::to_string(block[a->to]);
       }

@@ -131,11 +131,12 @@ ValidationReport validate_against_spec(const SynthesizedController& ctrl,
       vals[spec.initial_state][entry.first] = false;
     }
     seen[spec.initial_state] = true;
+    const bm::OutArcs out_arcs(spec);
     std::deque<int> queue{spec.initial_state};
     while (!queue.empty()) {
       const int s = queue.front();
       queue.pop_front();
-      for (const bm::Arc* arc : spec.arcs_from(s)) {
+      for (const bm::Arc* arc : out_arcs.from(s)) {
         auto v = vals[s];
         for (const auto& t : arc->in_burst.transitions) v[t.signal] = t.rising;
         for (const auto& t : arc->out_burst.transitions) {

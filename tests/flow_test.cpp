@@ -23,6 +23,7 @@
 #include "src/netlist/verilog.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/opt/cluster.hpp"
+#include "src/util/failpoint.hpp"
 #include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 #include "tests/reference_lint.hpp"
@@ -355,6 +356,65 @@ TEST(Degradation, NonStrictFullyDegradedRunStillSimulates) {
   EXPECT_FALSE(result.failures.empty());
   const auto r = run_benchmark("stack", options);
   EXPECT_TRUE(r.ok) << r.detail;
+}
+
+/// The members each fallback piece of a degraded run replaced, in order.
+std::vector<std::string> replaced_members(const ControlResult& result) {
+  std::vector<std::string> out;
+  for (const ControllerInfo& info : result.info) {
+    out.insert(out.end(), info.members.begin(), info.members.end());
+  }
+  return out;
+}
+
+TEST(Degradation, CallFragmentsDegradeToTheirCallComponentOnce) {
+  if (!util::Failpoints::compiled_in()) GTEST_SKIP() << "no failpoints";
+  // Systolic clusters into one controller that absorbed the loop, the
+  // sequencer and all eight T2 fragments of the call ($BrzCall#2.fragK).
+  // A widened product fails that controller's MN lint; non-strict, it
+  // degrades to the three components, the call replaced once.
+  const auto net = balsa::compile_source(designs::systolic_counter().source);
+  FlowOptions options = FlowOptions::optimized();
+  options.strict = false;
+  options.jobs = 1;
+  minimalist::SynthCache cache;
+  options.cache_instance = &cache;
+  ASSERT_TRUE(util::Failpoints::set("flow.synthesis.widen", "once"));
+  ControlResult degraded;
+  try {
+    degraded = synthesize_control(net, options);
+  } catch (...) {
+    util::Failpoints::clear();
+    throw;
+  }
+  util::Failpoints::clear();
+
+  ASSERT_EQ(degraded.failures.size(), 1u);
+  const ControllerFailure& failure = degraded.failures[0];
+  EXPECT_EQ(failure.stage, FlowStage::kLint);
+  EXPECT_EQ(failure.rule, "FL005");
+  EXPECT_EQ(failure.members.size(), 10u);
+  EXPECT_EQ(failure.fallback, "per-component baseline (3 template(s), 0 "
+                              "synthesized)");
+  EXPECT_EQ(replaced_members(degraded),
+            (std::vector<std::string>{"$BrzLoop#1", "$BrzSequence#0",
+                                      "$BrzCall#2"}));
+  int fl005 = 0;
+  for (const auto& diag : degraded.lint_report.diagnostics()) {
+    if (diag.rule == "FL005") ++fl005;
+  }
+  EXPECT_EQ(fl005, 1);
+}
+
+TEST(Degradation, BudgetBlowoutDegradesAControllerWithCallFragments) {
+  // The same fallback without failpoints: a 1-op budget fails synthesis.
+  const auto net = balsa::compile_source(designs::systolic_counter().source);
+  const auto degraded = synthesize_control(net, budgeted(1, /*strict=*/false));
+  ASSERT_EQ(degraded.failures.size(), 1u);
+  EXPECT_EQ(degraded.failures[0].rule, "FL002");
+  EXPECT_EQ(replaced_members(degraded),
+            (std::vector<std::string>{"$BrzLoop#1", "$BrzSequence#0",
+                                      "$BrzCall#2"}));
 }
 
 TEST(Degradation, EffectiveWorkBudgetResolution) {

@@ -236,11 +236,13 @@ TEST(T2, OptimizePipeline) {
 }
 
 TEST(Synthesizable, AcceptsValidRejectsIllegal) {
-  EXPECT_TRUE(bm_synthesizable(
-      *ch::parse("(rep (enc-middle (p-to-p passive a) (p-to-p passive b)))")));
-  EXPECT_FALSE(bm_synthesizable(
-      *ch::parse("(mutex (p-to-p active a) (p-to-p active b))")));
-  EXPECT_FALSE(bm_synthesizable(*ch::parse("(p-to-p active b)")));
+  EXPECT_NE(check_merge(*ch::parse(
+                "(rep (enc-middle (p-to-p passive a) (p-to-p passive b)))")),
+            nullptr);
+  EXPECT_EQ(check_merge(
+                *ch::parse("(mutex (p-to-p active a) (p-to-p active b))")),
+            nullptr);
+  EXPECT_EQ(check_merge(*ch::parse("(p-to-p active b)")), nullptr);
 }
 
 TEST(Synthesizable, StateBudget)
@@ -248,8 +250,8 @@ TEST(Synthesizable, StateBudget)
   const auto e = ch::parse(
       "(rep (enc-early (p-to-p passive a)"
       "  (seq (p-to-p active b1) (p-to-p active b2))))");
-  EXPECT_TRUE(bm_synthesizable(*e, 6));
-  EXPECT_FALSE(bm_synthesizable(*e, 5));
+  EXPECT_NE(check_merge(*e, 6), nullptr);
+  EXPECT_EQ(check_merge(*e, 5), nullptr);
 }
 
 }  // namespace

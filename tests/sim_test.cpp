@@ -167,6 +167,7 @@ class SpecReplayer {
                const minimalist::SynthesizedController& ctrl,
                const techmap::MapOptions& options)
       : spec_(spec),
+        out_arcs_(spec),
         netlist_(techmap::map_controller(ctrl, techmap::CellLibrary::ams035(),
                                          options, spec.name)),
         binding_(netlist_) {
@@ -196,14 +197,14 @@ class SpecReplayer {
     for (int step = 0; step < max_steps && !pending_arcs.empty(); ++step) {
       // Prefer an untaken arc from the current state.
       const bm::Arc* chosen = nullptr;
-      for (const bm::Arc* a : spec_.arcs_from(state)) {
+      for (const bm::Arc* a : out_arcs_.from(state)) {
         if (pending_arcs.count(key(*a))) {
           chosen = a;
           break;
         }
       }
       if (chosen == nullptr) {
-        const auto arcs = spec_.arcs_from(state);
+        const auto& arcs = out_arcs_.from(state);
         if (arcs.empty()) return "stuck in terminal state";
         chosen = arcs[step % arcs.size()];
       }
@@ -249,6 +250,7 @@ class SpecReplayer {
   }
 
   const bm::Spec& spec_;
+  bm::OutArcs out_arcs_;
   netlist::GateNetlist netlist_;
   GateBinding binding_;
   std::unique_ptr<Simulator> sim_;
