@@ -4,39 +4,36 @@
 
 namespace bb::opt {
 
-namespace {
-
-void visit_channels(const ch::Expr& e, const std::string* filter,
-                    std::vector<ChannelUse>* uses,
-                    std::set<std::string>* names) {
+void for_each_channel_use(
+    const ch::Expr& e,
+    const std::function<void(const std::string&, const ChannelUse&)>& fn) {
   if (ch::is_channel(e.kind)) {
     if (e.kind != ch::ExprKind::kVoid && e.kind != ch::ExprKind::kVerb) {
-      if (names) names->insert(e.channel);
-      if (uses && filter && e.channel == *filter) {
-        uses->push_back(ChannelUse{e.kind, ch::activity_of(e)});
-      }
+      fn(e.channel, ChannelUse{e.kind, ch::activity_of(e)});
     }
     for (const ch::MuxBranch& b : e.branches) {
-      visit_channels(*b.body, filter, uses, names);
+      for_each_channel_use(*b.body, fn);
     }
     return;
   }
-  for (const ch::ExprPtr& a : e.args) {
-    visit_channels(*a, filter, uses, names);
-  }
+  for (const ch::ExprPtr& a : e.args) for_each_channel_use(*a, fn);
 }
-
-}  // namespace
 
 std::vector<ChannelUse> uses_of(const ch::Expr& e, const std::string& name) {
   std::vector<ChannelUse> uses;
-  visit_channels(e, &name, &uses, nullptr);
+  for_each_channel_use(e, [&](const std::string& channel,
+                              const ChannelUse& use) {
+    if (channel == name) uses.push_back(use);
+  });
   return uses;
 }
 
 std::vector<std::string> channel_names(const ch::Expr& e) {
   std::set<std::string> names;
-  visit_channels(e, nullptr, nullptr, &names);
+  for_each_channel_use(
+      e, [&](const std::string& channel, const ChannelUse&) {
+        names.insert(channel);
+      });
   return {names.begin(), names.end()};
 }
 

@@ -2,6 +2,7 @@
 // channel-use queries, hide, and subexpression replacement (Section 4).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,6 +16,12 @@ struct ChannelUse {
   ch::ExprKind kind = ch::ExprKind::kPToP;
   ch::Activity activity = ch::Activity::kNeither;
 };
+
+/// Calls `fn(channel, use)` for every channel use in `e`, in traversal
+/// order; void and verbatim leaves are not channel uses.
+void for_each_channel_use(
+    const ch::Expr& e,
+    const std::function<void(const std::string&, const ChannelUse&)>& fn);
 
 /// All uses of channel `name` in `e` (normally zero or one).
 std::vector<ChannelUse> uses_of(const ch::Expr& e, const std::string& name);

@@ -1,12 +1,52 @@
 // .bms parsing and round-tripping, plus Burst-Mode state minimization.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
 #include "src/bm/compile.hpp"
 #include "src/bm/parse.hpp"
 #include "src/bm/validate.hpp"
 #include "src/ch/parser.hpp"
 #include "src/minimalist/statemin.hpp"
 #include "src/minimalist/synth.hpp"
+
+// The largest single allocation made while g_track is set, for tests
+// that bound a kernel's memory.
+namespace {
+std::atomic<bool> g_track{false};
+std::atomic<std::size_t> g_largest{0};
+
+[[gnu::noinline]] void note_allocation(std::size_t size) {
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest.compare_exchange_weak(largest, size)) {
+  }
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track.load(std::memory_order_relaxed)) note_allocation(size);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (g_track.load(std::memory_order_relaxed)) note_allocation(size);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not pair an inlined free() with the
+// operator new call it cannot see into (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace bb::bm {
 namespace {
@@ -63,6 +103,34 @@ TEST(ParseBms, Errors) {
 }
 
 // ---- state minimization ----
+
+TEST(ValidateBms, SparseStateNumbersCostEnteredStatesOnly) {
+  // One arc from state 0 to state 4000 over 4000 input wires: states
+  // 1..3999 are unreachable.  Validation's memory must follow the two
+  // states it enters, not the range of state numbers times the wires (a
+  // dense entry-valuation table here is one 16 MB allocation).
+  constexpr int kTarget = 4000;
+  constexpr int kWires = 4000;
+  std::string text = "name sparse\n0 " + std::to_string(kTarget);
+  for (int i = 0; i < kWires; ++i) text += " s" + std::to_string(i) + "+";
+  text += " |\n";
+  const Spec spec = parse_bms(text);
+
+  g_largest = 0;
+  g_track = true;
+  const ValidationResult result = validate(spec);
+  g_track = false;
+
+  std::vector<std::string> unreachable;
+  for (const lint::Diagnostic& d : result.report.diagnostics()) {
+    EXPECT_EQ(d.rule, "BM007") << d.object << ": " << d.message;
+    unreachable.push_back(d.object);
+  }
+  ASSERT_EQ(unreachable.size(), static_cast<std::size_t>(kTarget - 1));
+  EXPECT_EQ(unreachable.front(), "state 1");
+  EXPECT_EQ(unreachable.back(), "state " + std::to_string(kTarget - 1));
+  EXPECT_LT(g_largest.load(), std::size_t{1} << 20);
+}
 
 TEST(StateMin, CollapsesDuplicatedChoiceContinuations) {
   // mutex with two alternatives whose *entire* behaviour is identical
