@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "src/analyze/analyze.hpp"
-#include "src/bm/compile.hpp"
 #include "src/hsnet/to_ch.hpp"
 #include "src/petri/from_ch.hpp"
 #include "src/techmap/cells.hpp"
@@ -42,8 +41,12 @@ AnalyzeResult analyze_control(const hsnet::Netlist& netlist,
   mopts.level_separated = options.level_separated;
   for (std::size_t i = 0; i < clustered.size(); ++i) {
     const auto& program = clustered[i].program;
-    const bm::Spec spec = bm::compile(*program.body, program.name);
-    result.report.merge(lint::lint_bm(spec, lopts));
+    const bm::Spec spec = opt::machine_of(clustered[i]);
+    // A merged controller's check already validated its machine; the
+    // report's own options still apply suppressions and overrides.
+    const auto& check = clustered[i].check;
+    result.report.merge(check != nullptr ? check->validation.report
+                                         : lint::lint_bm(spec, lopts));
     if (deep) {
       result.report.merge(analyze::analyze_bm(spec, lopts));
       result.report.merge(analyze::analyze_petri(

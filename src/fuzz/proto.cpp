@@ -45,18 +45,17 @@ std::string preview(std::string_view input) {
 /// mutations explore the boundary of validity rather than deep garbage
 /// space only.
 std::string base_request(util::SplitMix64& rng) {
-  static const char* kOps[] = {"ping", "stats", "synthesize",
-                               "synthesize_bm", "analyze"};
-  const char* op = kOps[rng.below(5)];
+  const std::string_view op =
+      serve::kOps[rng.below(serve::kOps.size())].name;
   util::JsonWriter w;
   w.begin_object();
   w.member("schema_version", 1);
   w.member("id", "f" + std::to_string(rng.below(1000)));
   w.member("op", op);
-  if (std::string_view(op) == "synthesize" ||
-      std::string_view(op) == "analyze") {
+  if (op == "synthesize" || op == "analyze" ||
+      op == "synthesize_incremental") {
     w.member("source", "procedure p () begin sync end");
-  } else if (std::string_view(op) == "synthesize_bm") {
+  } else if (op == "synthesize_bm") {
     w.member("bms", "name w\ninput r 0\noutput a 0\n0 1 r+ | a+\n1 0 r- | a-\n");
   }
   w.end_object();

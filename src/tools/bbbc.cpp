@@ -30,7 +30,6 @@
 
 #include "src/balsa/compile.hpp"
 #include "src/balsa/parser.hpp"
-#include "src/bm/compile.hpp"
 #include "src/ch/printer.hpp"
 #include "src/flow/benchmarks.hpp"
 #include "src/flow/flow.hpp"
@@ -152,7 +151,7 @@ int main(int argc, char** argv) {
                                     nullptr)
                 : bb::opt::wrap(bb::hsnet::control_programs(net));
         for (const auto& c : clustered) {
-          const auto spec = bb::bm::compile(*c.program.body, c.program.name);
+          const auto spec = bb::opt::machine_of(c);
           if (command == "bms") {
             std::cout << spec.to_bms() << "\n";
           } else {

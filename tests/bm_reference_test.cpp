@@ -6,7 +6,8 @@
 // byte for byte: the same `.bms` text, the same validation report, the
 // same adjacency list and the same early edges.  They are compared on
 // every merge the clusterer attempts for the paper designs, the examples
-// and the fuzz corpus (generator seed 1, 30 cases per mode), and on the
+// and the fuzz corpus (generator seed 1, 30 cases per mode), on random
+// legal controllers (tests/ch_generator.hpp, seeds 1..200), and on the
 // BM001-BM007 violation fixtures.
 //
 // On the same designs, every clustered controller's carried machine must
@@ -41,6 +42,7 @@
 #include "src/opt/cluster.hpp"
 #include "src/opt/cluster_observer.hpp"
 #include "src/util/prng.hpp"
+#include "tests/ch_generator.hpp"
 #include "tests/reference_bm.hpp"
 
 #if !defined(BB_EXAMPLES_DIR)
@@ -229,6 +231,17 @@ TEST(BmReference, UnmergedControllersMatchTheReference) {
       SCOPED_TRACE(p.name);
       expect_same_kernels(*p.body);
     }
+  }
+}
+
+TEST(BmReference, GeneratedProgramsMatchTheReference) {
+  // Random legal controllers reach the seq-ov and active enc-early rows of
+  // the expansion, which no paper design or example merge drives.
+  for (unsigned seed = 1; seed <= 200; ++seed) {
+    const ch::ExprPtr program = ChGenerator(seed).controller();
+    SCOPED_TRACE(ch::to_string(*program));
+    ASSERT_NO_THROW(bm::reference::compile(*program, "m"));
+    expect_same_kernels(*program);
   }
 }
 
