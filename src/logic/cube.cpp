@@ -53,14 +53,6 @@ bool Cube::contains_minterm(const std::vector<bool>& bits) const {
   return true;
 }
 
-bool Cube::intersects(const Cube& other) const {
-  const std::size_t n = std::min(words_.size(), other.words_.size());
-  for (std::size_t w = 0; w < n; ++w) {
-    if (empty_fields(words_[w] & other.words_[w]) != 0) return false;
-  }
-  return true;
-}
-
 std::optional<Cube> Cube::intersect(const Cube& other) const {
   if (size() != other.size()) return std::nullopt;
   Cube out = *this;

@@ -72,7 +72,13 @@ class Cube {
 
   /// True if the two cubes share at least one minterm (over the variables
   /// both have).
-  bool intersects(const Cube& other) const;
+  bool intersects(const Cube& other) const {
+    const std::size_t n = std::min(words_.size(), other.words_.size());
+    for (std::size_t w = 0; w < n; ++w) {
+      if (empty_fields(words_[w] & other.words_[w]) != 0) return false;
+    }
+    return true;
+  }
 
   /// The intersection cube, or nullopt if the cubes are disjoint.
   std::optional<Cube> intersect(const Cube& other) const;

@@ -1,9 +1,13 @@
 #include "src/minimalist/funcspec.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
-#include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/bm/validate.hpp"
 #include "src/obs/metrics.hpp"
@@ -15,161 +19,202 @@ namespace {
 using logic::Cube;
 using logic::Lit;
 
-/// Signal valuations per state, computed by BFS from the initial state.
-struct StateValuations {
-  std::vector<std::map<std::string, bool>> at_state;
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+/// A signal's value in a state: 0, 1, or kAbsent while none is known (a
+/// signal the directory lacks, before its first edge, or every signal of
+/// a state the initial state cannot reach).
+constexpr std::uint8_t kAbsent = 2;
+using Valuation = std::vector<std::uint8_t>;
+
+struct Edge {
+  std::uint32_t signal;
+  bool rising;
 };
 
-StateValuations compute_valuations(const bm::Spec& spec) {
-  StateValuations vals;
-  vals.at_state.resize(spec.num_states);
+/// The spec's signals, interned: the directory's names in its order, then
+/// any burst signal the directory lacks; and every arc's bursts as edges
+/// over them.
+class Signals {
+ public:
+  explicit Signals(const bm::Spec& spec) {
+    const auto intern = [&](std::string_view name) {
+      const auto [it, fresh] =
+          index.try_emplace(name, static_cast<std::uint32_t>(names.size()));
+      if (fresh) {
+        names.push_back(name);
+        input_var.push_back(kNone);
+        output.push_back(kNone);
+      }
+      return it->second;
+    };
+    std::uint32_t inputs = 0;
+    for (const auto& [name, is_input] : spec.is_input) {
+      const std::uint32_t s = intern(name);
+      if (is_input) {
+        input_var[s] = inputs++;
+      } else {
+        output[s] = static_cast<std::uint32_t>(outputs.size());
+        outputs.push_back(s);
+      }
+    }
+    directory = names.size();
+    arc_edges.reserve(2 * spec.arcs.size() + 1);
+    arc_edges.push_back(0);
+    for (const bm::Arc& arc : spec.arcs) {
+      for (const ch::Transition& t : arc.in_burst.transitions) {
+        edges.push_back({intern(t.signal), t.rising});
+      }
+      arc_edges.push_back(static_cast<std::uint32_t>(edges.size()));
+      for (const ch::Transition& t : arc.out_burst.transitions) {
+        edges.push_back({intern(t.signal), t.rising});
+      }
+      arc_edges.push_back(static_cast<std::uint32_t>(edges.size()));
+    }
+  }
 
-  std::map<std::string, bool> initial;
-  for (const auto& entry : spec.is_input) initial[entry.first] = false;
+  std::span<const Edge> in_burst(std::size_t arc) const {
+    return span(arc_edges[2 * arc], arc_edges[2 * arc + 1]);
+  }
+  std::span<const Edge> out_burst(std::size_t arc) const {
+    return span(arc_edges[2 * arc + 1], arc_edges[2 * arc + 2]);
+  }
+
+  /// The input variable of the signal called `name`, or kNone.
+  std::uint32_t input_var_of(std::string_view name) const {
+    const auto it = index.find(name);
+    return it == index.end() ? kNone : input_var[it->second];
+  }
+
+  /// The value of `signal` in `v`; throws std::out_of_range when none is
+  /// known.
+  bool value(const Valuation& v, std::uint32_t signal) const {
+    if (v[signal] == kAbsent) {
+      throw std::out_of_range("minimalist: signal '" +
+                              std::string(names[signal]) +
+                              "' has no known value");
+    }
+    return v[signal] == 1;
+  }
+
+  std::vector<std::string_view> names;
+  std::size_t directory = 0;             ///< names from the directory
+  std::vector<std::uint32_t> input_var;  ///< per signal, or kNone
+  std::vector<std::uint32_t> output;     ///< per signal, or kNone
+  std::vector<std::uint32_t> outputs;    ///< signal of each output
+
+ private:
+  std::span<const Edge> span(std::uint32_t first, std::uint32_t last) const {
+    return {edges.data() + first, edges.data() + last};
+  }
+
+  std::unordered_map<std::string_view, std::uint32_t> index;
+  std::vector<Edge> edges;
+  /// Arc a's input burst is edges[arc_edges[2a], arc_edges[2a+1]), its
+  /// output burst edges[arc_edges[2a+1], arc_edges[2a+2]).
+  std::vector<std::uint32_t> arc_edges;
+};
+
+void apply(Valuation& v, std::span<const Edge> burst) {
+  for (const Edge& e : burst) v[e.signal] = e.rising ? 1 : 0;
+}
+
+/// Signal valuations per state, computed by BFS from the initial state:
+/// every directory signal starts low.
+std::vector<Valuation> compute_valuations(const bm::Spec& spec,
+                                          const Signals& signals) {
+  std::vector<Valuation> at_state(spec.num_states,
+                                  Valuation(signals.names.size(), kAbsent));
+  Valuation& initial = at_state[spec.initial_state];
+  std::fill_n(initial.begin(), signals.directory, std::uint8_t{0});
 
   std::vector<bool> seen(spec.num_states, false);
   const bm::OutArcs out_arcs(spec);
-  vals.at_state[spec.initial_state] = initial;
   seen[spec.initial_state] = true;
   std::deque<int> queue{spec.initial_state};
+  Valuation v;
   while (!queue.empty()) {
     const int s = queue.front();
     queue.pop_front();
     for (const bm::Arc* arc : out_arcs.from(s)) {
-      std::map<std::string, bool> v = vals.at_state[s];
-      for (const ch::Transition& t : arc->in_burst.transitions) {
-        v[t.signal] = t.rising;
-      }
-      for (const ch::Transition& t : arc->out_burst.transitions) {
-        v[t.signal] = t.rising;
-      }
+      const auto a = static_cast<std::size_t>(arc - spec.arcs.data());
+      v = at_state[s];
+      apply(v, signals.in_burst(a));
+      apply(v, signals.out_burst(a));
       if (!seen[arc->to]) {
         seen[arc->to] = true;
-        vals.at_state[arc->to] = std::move(v);
+        at_state[arc->to] = v;
         queue.push_back(arc->to);
-      } else if (vals.at_state[arc->to] != v) {
+      } else if (at_state[arc->to] != v) {
         throw std::runtime_error(
             "minimalist: state " + std::to_string(arc->to) +
             " entered with inconsistent wire valuations");
       }
     }
   }
-  return vals;
+  return at_state;
 }
 
-/// Builds cubes over the (inputs, state bits) variable space.
-class CubeFactory {
- public:
-  CubeFactory(std::vector<std::string> inputs, int num_states)
-      : inputs_(std::move(inputs)), num_states_(num_states) {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-      input_index_[inputs_[i]] = i;
-    }
-  }
+void dash(Cube& c, const std::vector<std::uint32_t>& vars) {
+  for (const std::uint32_t v : vars) c.set(v, Lit::kDash);
+}
 
-  std::size_t num_vars() const { return inputs_.size() + num_states_; }
-  std::size_t state_var(int state) const { return inputs_.size() + state; }
+/// Per function, the exact length of each list extraction fills.
+struct ListSizes {
+  std::size_t required = 0, points = 0, off = 0, privileges = 0;
+};
 
-  /// Input part from a valuation; state part one-hot `s`.
-  Cube at(const std::map<std::string, bool>& x, int s) const {
-    Cube c(num_vars());
-    for (const auto& [name, value] : x) {
-      const auto it = input_index_.find(name);
-      if (it != input_index_.end()) {
-        c.set(it->second, value ? Lit::kOne : Lit::kZero);
-      }
-    }
-    for (int t = 0; t < num_states_; ++t) {
-      c.set(state_var(t), t == s ? Lit::kOne : Lit::kZero);
-    }
-    return c;
-  }
-
-  /// Dashes the input variables that change in `burst`.
-  Cube dash_burst(Cube c, const bm::Burst& burst) const {
-    for (const ch::Transition& t : burst.transitions) {
-      const auto it = input_index_.find(t.signal);
-      if (it != input_index_.end()) c.set(it->second, Lit::kDash);
-    }
-    return c;
-  }
-
-  /// Dashes the named input variables.
-  Cube dash_inputs(Cube c, const std::set<std::string>& names) const {
-    for (const std::string& name : names) {
-      const auto it = input_index_.find(name);
-      if (it != input_index_.end()) c.set(it->second, Lit::kDash);
-    }
-    return c;
-  }
-
-  /// Sets one named input variable to a concrete value.
-  Cube set_input(Cube c, const std::string& name, bool value) const {
-    const auto it = input_index_.find(name);
-    if (it != input_index_.end()) {
-      c.set(it->second, value ? Lit::kOne : Lit::kZero);
-    }
-    return c;
-  }
-
-  /// Dashes the state bit of `state`.
-  Cube dash_state(Cube c, int state) const {
-    c.set(state_var(state), Lit::kDash);
-    return c;
-  }
-
-  /// Sets the state bit of `state` to 1.
-  Cube set_state(Cube c, int state, bool value) const {
-    c.set(state_var(state), value ? Lit::kOne : Lit::kZero);
-    return c;
-  }
-
- private:
-  std::vector<std::string> inputs_;
-  std::map<std::string, std::size_t> input_index_;
-  int num_states_;
+/// How one output moves across one arc.
+enum OutputMove : std::uint8_t {
+  kChanged = 1,  ///< the output burst names it
+  kOld = 2,      ///< its value in the arc's source state
+  kNew = 4,      ///< its value after the output burst
 };
 
 }  // namespace
 
 MachineSpec extract(const bm::Spec& spec) {
-  obs::Registry::global().counter("minimalist.extracted").add();
+  static obs::Counter& extracted =
+      obs::Registry::global().counter("minimalist.extracted");
+  extracted.add();
   MachineSpec machine;
   machine.name = spec.name;
   machine.inputs = spec.input_names();
   const std::vector<std::string> outputs = spec.output_names();
-  for (int s = 0; s < spec.num_states; ++s) {
+  const auto num_states = static_cast<std::size_t>(spec.num_states);
+  for (std::size_t s = 0; s < num_states; ++s) {
     machine.state_bits.push_back("y" + std::to_string(s));
   }
+  const std::size_t num_inputs = machine.inputs.size();
+  const std::size_t num_outputs = outputs.size();
+  machine.num_vars = num_inputs + num_states;
+  const auto state_var = [&](int s) {
+    return num_inputs + static_cast<std::size_t>(s);
+  };
 
-  const CubeFactory cubes(machine.inputs, spec.num_states);
-  machine.num_vars = cubes.num_vars();
-
-  machine.state_codes.assign(
-      spec.num_states, std::vector<bool>(machine.state_bits.size(), false));
-  for (int s = 0; s < spec.num_states; ++s) machine.state_codes[s][s] = true;
+  machine.state_codes.assign(num_states,
+                             std::vector<bool>(num_states, false));
+  for (std::size_t s = 0; s < num_states; ++s) {
+    machine.state_codes[s][s] = true;
+  }
   machine.initial_state_code = machine.state_codes[spec.initial_state];
-  machine.initial_outputs.assign(outputs.size(), false);
+  machine.initial_outputs.assign(num_outputs, false);
 
   // Function table: outputs first, then state bits.
-  std::map<std::string, std::size_t> func_index;
   for (const std::string& z : outputs) {
-    FuncSpec f;
+    FuncSpec& f = machine.functions.emplace_back();
     f.name = z;
-    f.off = logic::Cover(machine.num_vars);
-    func_index[z] = machine.functions.size();
-    machine.functions.push_back(std::move(f));
   }
   const std::size_t state_func_base = machine.functions.size();
-  for (int s = 0; s < spec.num_states; ++s) {
-    FuncSpec f;
+  for (std::size_t s = 0; s < num_states; ++s) {
+    FuncSpec& f = machine.functions.emplace_back();
     f.name = machine.state_bits[s];
     f.is_state_bit = true;
-    f.off = logic::Cover(machine.num_vars);
-    machine.functions.push_back(std::move(f));
   }
+  const std::size_t num_functions = machine.functions.size();
 
-  const StateValuations vals = compute_valuations(spec);
+  const Signals signals(spec);
+  const std::vector<Valuation> vals = compute_valuations(spec, signals);
 
   // Input edges that may arrive early per state (pending edges that are
   // stuck or carried over from a predecessor — see bm::early_edges).
@@ -182,14 +227,16 @@ MachineSpec extract(const bm::Spec& spec) {
   // Only machines within the one-burst-earliness class get this
   // treatment: an edge that can linger across two states cannot be
   // absorbed this way (see bm::adjacency_violations), and such machines
-  // keep the classic strict-fundamental-mode cubes.
-  std::vector<std::set<std::pair<std::string, bool>>> early_edges(
-      spec.num_states);
-  std::vector<std::set<std::string>> early(spec.num_states);
+  // keep the classic strict-fundamental-mode cubes.  Held as input
+  // variables.
+  std::vector<std::vector<std::uint32_t>> early(num_states);
   if (bm::adjacency_violations(spec).empty()) {
-    early_edges = bm::early_edges(spec);
-    for (int s = 0; s < spec.num_states; ++s) {
-      for (const auto& e : early_edges[s]) early[s].insert(e.first);
+    const std::vector<std::set<std::string>> names = bm::early_inputs(spec);
+    for (std::size_t s = 0; s < num_states; ++s) {
+      for (const std::string& name : names[s]) {
+        const std::uint32_t var = signals.input_var_of(name);
+        if (var != kNone) early[s].push_back(var);
+      }
     }
   }
 
@@ -197,65 +244,161 @@ MachineSpec extract(const bm::Spec& spec) {
   // still high when s's next input burst may already arrive (the peer can
   // answer faster than the feedback settles).  Transition cubes therefore
   // leave predecessor bits unconstrained instead of requiring them low.
-  std::vector<std::vector<int>> preds(spec.num_states);
+  std::vector<std::vector<std::uint32_t>> pred_vars(num_states);
   for (const bm::Arc& arc : spec.arcs) {
-    if (arc.from != arc.to) preds[arc.to].push_back(arc.from);
+    if (arc.from != arc.to) pred_vars[arc.to].push_back(state_var(arc.from));
   }
-  const auto dash_preds = [&](Cube c, int state) {
-    for (const int p : preds[state]) {
-      if (p != state) c = cubes.dash_state(c, p);
-    }
-    return c;
-  };
 
-  const auto add_on = [&](std::size_t fi, Cube c, bool required) {
-    if (required) {
-      machine.functions[fi].on_required.push_back(std::move(c));
-    } else {
-      machine.functions[fi].on_points.push_back(std::move(c));
-    }
-  };
-  const auto add_off = [&](std::size_t fi, Cube c) {
-    machine.functions[fi].off.add(std::move(c));
-  };
-  const std::size_t num_inputs = machine.inputs.size();
-  // Privilege anchors constrain only input variables.
-  const auto inputs_only = [&](Cube c) {
-    for (std::size_t v = num_inputs; v < machine.num_vars; ++v) {
-      c.set(v, logic::Lit::kDash);
-    }
-    return c;
-  };
-  const auto add_priv = [&](std::size_t fi, Cube t, const Cube& a) {
-    machine.functions[fi].privileges.push_back(
-        Privilege{std::move(t), inputs_only(a)});
-  };
-
-  std::vector<bool> has_arc(spec.num_states, false);
-
-  for (const bm::Arc& arc : spec.arcs) {
+  // Pass 1: how every output moves across every arc, and the exact length
+  // of every list, so each is allocated once.
+  std::vector<std::uint8_t> moves(spec.arcs.size() * num_outputs, 0);
+  std::vector<ListSizes> sizes(num_functions);
+  std::vector<bool> has_arc(num_states, false);
+  Valuation val_e;
+  for (std::size_t a = 0; a < spec.arcs.size(); ++a) {
+    const bm::Arc& arc = spec.arcs[a];
     const int s = arc.from;
     const int s2 = arc.to;
     has_arc[s] = true;
-    const auto& val_s = vals.at_state[s];
-
-    auto val_mid = val_s;  // after the input burst
-    for (const ch::Transition& t : arc.in_burst.transitions) {
-      val_mid[t.signal] = t.rising;
+    const Valuation& val_s = vals[s];
+    val_e = val_s;
+    apply(val_e, signals.in_burst(a));
+    apply(val_e, signals.out_burst(a));
+    std::uint8_t* move = moves.data() + a * num_outputs;
+    for (const Edge& e : signals.out_burst(a)) {
+      if (signals.output[e.signal] != kNone) {
+        move[signals.output[e.signal]] = kChanged;
+      }
     }
-    auto val_e = val_mid;  // after the output burst
-    for (const ch::Transition& t : arc.out_burst.transitions) {
-      val_e[t.signal] = t.rising;
+    const std::size_t burst = arc.in_burst.transitions.size();
+    const std::size_t incomplete = burst > 1 ? burst : 0;
+    for (std::size_t z = 0; z < num_outputs; ++z) {
+      const std::uint32_t signal = signals.outputs[z];
+      if (signals.value(val_s, signal)) move[z] |= kOld;
+      if (signals.value(val_e, signal)) move[z] |= kNew;
+      // The lists pass 2 appends to, branch for branch.
+      ListSizes& n = sizes[z];
+      if (!(move[z] & kChanged)) {
+        ++((move[z] & kOld) ? n.required : n.off);
+      } else if (move[z] == (kChanged | kNew)) {
+        ++n.points;
+        n.off += 1 + incomplete;
+        ++n.privileges;
+      } else {
+        ++n.points;
+        ++n.off;
+        n.required += incomplete;
+        ++n.privileges;
+      }
+      if (s2 != s) ((move[z] & kNew) ? n.required : n.off) += 2;
+    }
+    for (int t = 0; t < spec.num_states; ++t) {
+      ListSizes& n = sizes[state_func_base + t];
+      if (t == s && s2 != s) {
+        ++n.required;
+        n.off += 2;
+        ++n.privileges;
+      } else if (t == s) {
+        ++n.required;
+      } else if (t == s2) {
+        n.required += 2;
+        ++n.points;
+        n.off += 1 + incomplete;
+        ++n.privileges;
+      } else {
+        n.off += s2 != s ? 3 : 1;
+      }
+    }
+  }
+  for (int s = 0; s < spec.num_states; ++s) {
+    if (has_arc[s]) continue;
+    for (std::size_t z = 0; z < num_outputs; ++z) {
+      ++(signals.value(vals[s], signals.outputs[z]) ? sizes[z].required
+                                                    : sizes[z].off);
+    }
+    for (int t = 0; t < spec.num_states; ++t) {
+      ++(t == s ? sizes[state_func_base + t].required
+                : sizes[state_func_base + t].off);
+    }
+  }
+  std::vector<std::vector<Cube>> off(num_functions);
+  for (std::size_t fi = 0; fi < num_functions; ++fi) {
+    FuncSpec& f = machine.functions[fi];
+    f.on_required.reserve(sizes[fi].required);
+    f.on_points.reserve(sizes[fi].points);
+    f.privileges.reserve(sizes[fi].privileges);
+    off[fi].reserve(sizes[fi].off);
+  }
+
+  const auto add_on = [&](std::size_t fi, Cube c, bool required) {
+    (required ? machine.functions[fi].on_required
+              : machine.functions[fi].on_points)
+        .push_back(std::move(c));
+  };
+  const auto add_off = [&](std::size_t fi, Cube c) {
+    off[fi].push_back(std::move(c));
+  };
+  // Privilege anchors constrain only input variables.
+  const auto inputs_only = [&](const Cube& c) {
+    Cube a(machine.num_vars);
+    for (std::size_t v = 0; v < num_inputs; ++v) a.set(v, c[v]);
+    return a;
+  };
+  const auto add_priv = [&](std::size_t fi, const Cube& t, const Cube& a) {
+    machine.functions[fi].privileges.push_back(Privilege{t, a});
+  };
+
+  // Each state's entry cube: its entry valuation on the inputs (absent
+  // values dashed), its own bit high and every other bit low.
+  std::vector<Cube> entry;
+  entry.reserve(num_states);
+  {
+    Cube base(machine.num_vars);
+    for (std::size_t t = 0; t < num_states; ++t) {
+      base.set(num_inputs + t, Lit::kZero);
+    }
+    for (int s = 0; s < spec.num_states; ++s) {
+      Cube& c = entry.emplace_back(base);
+      const Valuation& v = vals[s];
+      for (std::uint32_t signal = 0; signal < v.size(); ++signal) {
+        const std::uint32_t var = signals.input_var[signal];
+        if (var != kNone && v[signal] != kAbsent) {
+          c.set(var, v[signal] == 1 ? Lit::kOne : Lit::kZero);
+        }
+      }
+      c.set(state_var(s), Lit::kOne);
+    }
+  }
+
+  // Pass 2: the cubes.
+  std::vector<std::uint32_t> burst_vars, early_after;
+  std::vector<bool> burst_member(num_inputs, false);
+  std::vector<Cube> incomplete;
+  for (std::size_t a = 0; a < spec.arcs.size(); ++a) {
+    const int s = spec.arcs[a].from;
+    const int s2 = spec.arcs[a].to;
+    const std::span<const Edge> burst = signals.in_burst(a);
+
+    // The burst's input variables, and the input valuation after it.
+    Cube strict_end = entry[s];
+    burst_vars.clear();
+    for (const Edge& e : burst) {
+      const std::uint32_t var = signals.input_var[e.signal];
+      if (var == kNone) continue;
+      burst_vars.push_back(var);
+      burst_member[var] = true;
+      strict_end.set(var, e.rising ? Lit::kOne : Lit::kZero);
     }
 
     // Early signals that survive the burst: a surviving early signal can
     // flip during the output burst and the handoff just as freely as
     // while the machine sat in s, so every post-burst cube of this arc
     // dashes it too.
-    std::set<std::string> early_after = early[s];
-    for (const ch::Transition& t : arc.in_burst.transitions) {
-      early_after.erase(t.signal);
+    early_after.clear();
+    for (const std::uint32_t var : early[s]) {
+      if (!burst_member[var]) early_after.push_back(var);
     }
+    for (const std::uint32_t var : burst_vars) burst_member[var] = false;
 
     // Trigger/transition cubes tolerate a stale predecessor bit (the
     // p -> s handoff may still be completing when this arc's burst
@@ -263,12 +406,14 @@ MachineSpec extract(const bm::Spec& spec) {
     // different arcs cannot claim conflicting values for the same codes.
     // Cubes anchored at s additionally dash the inputs that may arrive a
     // burst early while the machine sits in s.
-    const Cube strict_end = cubes.at(val_mid, s);
-    const Cube start_point = cubes.dash_inputs(
-        dash_preds(cubes.at(val_s, s), s), early[s]);
-    const Cube end_point =
-        cubes.dash_inputs(dash_preds(strict_end, s), early_after);
-    const Cube t_in = cubes.dash_burst(start_point, arc.in_burst);
+    Cube start_point = entry[s];
+    dash(start_point, pred_vars[s]);
+    dash(start_point, early[s]);
+    Cube end_point = strict_end;
+    dash(end_point, pred_vars[s]);
+    dash(end_point, early_after);
+    Cube t_in = start_point;
+    dash(t_in, burst_vars);
 
     // "Burst incomplete" pin cubes for multiple-input bursts, one per
     // member: the region where that member still sits at its pre-burst
@@ -287,13 +432,16 @@ MachineSpec extract(const bm::Spec& spec) {
     // settling (one-sided timing assumption), and in a 2-state cycle a
     // pred-dashed pin of one arc would overlap the other arc's
     // post-burst cubes, which describe the opposite output value.
-    std::vector<Cube> incomplete;
-    if (arc.in_burst.transitions.size() > 1) {
-      const Cube strict_t_in = cubes.dash_burst(
-          cubes.dash_inputs(cubes.at(val_s, s), early[s]), arc.in_burst);
-      for (const ch::Transition& t : arc.in_burst.transitions) {
-        incomplete.push_back(
-            cubes.set_input(strict_t_in, t.signal, val_s.at(t.signal)));
+    incomplete.clear();
+    if (burst.size() > 1) {
+      Cube strict_t_in = entry[s];
+      dash(strict_t_in, early[s]);
+      dash(strict_t_in, burst_vars);
+      for (const Edge& e : burst) {
+        const bool before = signals.value(vals[s], e.signal);
+        Cube& c = incomplete.emplace_back(strict_t_in);
+        const std::uint32_t var = signals.input_var[e.signal];
+        if (var != kNone) c.set(var, before ? Lit::kOne : Lit::kZero);
       }
     }
 
@@ -304,30 +452,28 @@ MachineSpec extract(const bm::Spec& spec) {
     // signals that survive the burst stay dashed through the handoff.
     Cube hold1, hold2;
     if (s2 != s) {
-      hold1 = cubes.dash_inputs(cubes.dash_state(strict_end, s2),
-                                early_after);                     // s=1, s'=-
-      hold2 = cubes.dash_inputs(
-          cubes.set_state(cubes.dash_state(strict_end, s), s2, true),
-          early_after);                                           // s=-, s'=1
+      hold1 = strict_end;  // s=1, s'=-
+      hold1.set(state_var(s2), Lit::kDash);
+      dash(hold1, early_after);
+      hold2 = strict_end;  // s=-, s'=1
+      hold2.set(state_var(s), Lit::kDash);
+      hold2.set(state_var(s2), Lit::kOne);
+      dash(hold2, early_after);
     }
+    const Cube start_anchor = inputs_only(start_point);
+    const Cube end_anchor = inputs_only(end_point);
 
     // --- output functions ---
-    std::set<std::string> out_changed;
-    for (const ch::Transition& t : arc.out_burst.transitions) {
-      out_changed.insert(t.signal);
-    }
-    for (const std::string& z : outputs) {
-      const std::size_t fi = func_index.at(z);
-      const bool old_v = val_s.at(z);
-      const bool new_v = val_e.at(z);
-      if (!out_changed.count(z)) {
+    const std::uint8_t* move = moves.data() + a * num_outputs;
+    for (std::size_t fi = 0; fi < num_outputs; ++fi) {
+      if (!(move[fi] & kChanged)) {
         // Static through the burst.
-        if (old_v) {
+        if (move[fi] & kOld) {
           add_on(fi, t_in, /*required=*/true);
         } else {
           add_off(fi, t_in);
         }
-      } else if (!old_v && new_v) {
+      } else if (move[fi] == (kChanged | kNew)) {
         // Dynamic 0->1: fires when the burst completes; intermediates are
         // don't-care but any intersecting product must contain the end.
         // With early burst members the pre-completion region is reachable
@@ -335,7 +481,7 @@ MachineSpec extract(const bm::Spec& spec) {
         add_on(fi, end_point, /*required=*/false);
         add_off(fi, start_point);
         for (const Cube& c : incomplete) add_off(fi, c);
-        add_priv(fi, t_in, end_point);
+        add_priv(fi, t_in, end_anchor);
       } else {
         // Dynamic 1->0: must likewise hold its old value until every
         // early member has arrived, or the handshake it drives completes
@@ -343,10 +489,10 @@ MachineSpec extract(const bm::Spec& spec) {
         add_on(fi, start_point, /*required=*/false);
         add_off(fi, end_point);
         for (const Cube& c : incomplete) add_on(fi, c, /*required=*/true);
-        add_priv(fi, t_in, start_point);
+        add_priv(fi, t_in, start_anchor);
       }
       if (s2 != s) {
-        if (new_v) {
+        if (move[fi] & kNew) {
           add_on(fi, hold1, /*required=*/true);
           add_on(fi, hold2, /*required=*/true);
         } else {
@@ -363,22 +509,28 @@ MachineSpec extract(const bm::Spec& spec) {
         // Holds through the burst, then falls after s' rises.  The
         // successor bit must stay excluded from the hold even when s' is
         // also a predecessor of s (2-cycles): once s' rises, Y_s falls.
-        add_on(fi, cubes.set_state(t_in, s2, false), /*required=*/true);
-        add_off(fi, cubes.set_state(end_point, s2, true));
+        Cube hold = t_in;
+        hold.set(state_var(s2), Lit::kZero);
+        add_on(fi, std::move(hold), /*required=*/true);
+        Cube fall = end_point;
+        fall.set(state_var(s2), Lit::kOne);
+        add_off(fi, std::move(fall));
         add_off(fi, hold2);
-        add_priv(fi, hold1, end_point);
-      } else if (t == s && s2 == s) {
+        add_priv(fi, hold1, end_anchor);
+      } else if (t == s) {
         add_on(fi, t_in, /*required=*/true);
-      } else if (t == s2 && s2 != s) {
+      } else if (t == s2) {
         // Rises with the output burst, holds through the handoff.  Early
         // burst members make pre-completion points reachable: the bit
         // must not rise while any of them still sits at its old value.
         add_on(fi, end_point, /*required=*/false);
         add_off(fi, start_point);
         for (const Cube& c : incomplete) {
-          add_off(fi, cubes.set_state(c, s2, false));
+          Cube pin = c;
+          pin.set(state_var(s2), Lit::kZero);
+          add_off(fi, std::move(pin));
         }
-        add_priv(fi, t_in, end_point);
+        add_priv(fi, t_in, end_anchor);
         add_on(fi, hold1, /*required=*/true);
         add_on(fi, hold2, /*required=*/true);
       } else {
@@ -395,11 +547,10 @@ MachineSpec extract(const bm::Spec& spec) {
   // output values stably.
   for (int s = 0; s < spec.num_states; ++s) {
     if (has_arc[s]) continue;
-    const Cube stable =
-        cubes.dash_inputs(cubes.at(vals.at_state[s], s), early[s]);
-    for (const std::string& z : outputs) {
-      const std::size_t fi = func_index.at(z);
-      if (vals.at_state[s].at(z)) {
+    Cube stable = entry[s];
+    dash(stable, early[s]);
+    for (std::size_t fi = 0; fi < num_outputs; ++fi) {
+      if (signals.value(vals[s], signals.outputs[fi])) {
         add_on(fi, stable, /*required=*/true);
       } else {
         add_off(fi, stable);
@@ -416,18 +567,20 @@ MachineSpec extract(const bm::Spec& spec) {
   }
 
   // Consistency: no ON cube may intersect the OFF cover.
-  for (const FuncSpec& f : machine.functions) {
+  for (std::size_t fi = 0; fi < num_functions; ++fi) {
+    FuncSpec& f = machine.functions[fi];
     const auto check = [&](const Cube& c) {
-      for (const Cube& off : f.off.cubes()) {
-        if (c.intersects(off)) {
+      for (const Cube& o : off[fi]) {
+        if (c.intersects(o)) {
           throw std::runtime_error("minimalist: ON/OFF conflict on '" +
                                    f.name + "' between " + c.to_string() +
-                                   " and " + off.to_string());
+                                   " and " + o.to_string());
         }
       }
     };
     for (const Cube& c : f.on_required) check(c);
     for (const Cube& c : f.on_points) check(c);
+    f.off = logic::Cover(machine.num_vars, std::move(off[fi]));
   }
 
   return machine;

@@ -73,7 +73,9 @@ struct MachineSpec {
 
 /// Extracts the machine specification and bumps the
 /// `minimalist.extracted` counter.  Throws std::runtime_error when the
-/// spec is inconsistent (ON/OFF overlap, non-unique entry valuations).
+/// spec is inconsistent (ON/OFF overlap, non-unique entry valuations),
+/// and std::out_of_range when a cube needs a signal value no path from
+/// the initial state gives (an arc leaving an unreachable state).
 MachineSpec extract(const bm::Spec& spec);
 
 }  // namespace bb::minimalist

@@ -192,7 +192,9 @@ flow::FlowOptions apply_options(const RequestOptions& overrides,
                                   ? flow::FlowOptions::unoptimized()
                                   : flow::FlowOptions::optimized();
   if (overrides.max_states) options.max_states = *overrides.max_states;
-  if (overrides.jobs) options.jobs = *overrides.jobs;
+  // A request runs its controllers on the pool worker that serves it:
+  // the server pool already runs requests side by side.
+  options.jobs = overrides.jobs.value_or(1);
   options.cache_instance = overrides.cache.value_or(true) ? cache : nullptr;
   if (overrides.strict) options.strict = *overrides.strict;
   if (overrides.lint) options.lint = *overrides.lint;

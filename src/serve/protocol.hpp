@@ -122,7 +122,8 @@ bool parse_request(const std::string& line, Request* request,
 
 /// Applies a request's overrides on top of the server's base options.
 /// The flow memoizes through `cache` (the daemon's own) unless the
-/// request says "cache": false, which leaves cache_instance null.
+/// request says "cache": false, which leaves cache_instance null.  The
+/// flow runs serially (`jobs` 1) unless the request sets `jobs`.
 flow::FlowOptions apply_options(const RequestOptions& overrides,
                                 long long default_work_budget,
                                 minimalist::SynthCache* cache);

@@ -1,25 +1,37 @@
-// Differential test of DHF candidate generation: minimalist::dhf_candidates
-// (blocking-matrix expansion over packed cubes) against the reference
-// below, which re-checks every single-variable raise against the whole
-// OFF set and every privilege with byte-per-literal cubes and
-// deduplicates through the candidates' strings.  Both must produce the
-// same candidates in the same order and charge the work budget the same
-// number of times, on every function of the paper designs, the examples,
-// the fuzz regression corpus, generated fuzz designs, and seeded random
-// function specifications.
+// Differential tests of the Minimalist substitute's two halves.
+//
+// DHF candidate generation: minimalist::dhf_candidates (blocking-matrix
+// expansion over packed cubes, walking only contested variables) against
+// the reference below, which re-checks every single-variable raise of
+// every variable against the whole OFF set and every privilege with
+// byte-per-literal cubes and deduplicates through the candidates'
+// strings.  Both must produce the same candidates in the same order and
+// charge the work budget the same number of times, on every function of
+// the paper designs, the examples, the fuzz regression corpus, generated
+// fuzz designs, seeded random function specifications and hand-built
+// seeds that place free and contested variables around rotation starts.
+//
+// Flow-table extraction: minimalist::extract (interned signals) against
+// the name-keyed extractor of tests/reference_funcspec.hpp.  Both must
+// give cube-for-cube the same MachineSpec, or refuse the same machines,
+// on every controller of the same designs and on random legal CH
+// controllers (tests/ch_generator.hpp, seeds 1..200).
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <fstream>
 #include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/balsa/compile.hpp"
 #include "src/balsa/parser.hpp"
 #include "src/bm/compile.hpp"
+#include "src/bm/parse.hpp"
 #include "src/designs/designs.hpp"
 #include "src/flow/flow.hpp"
 #include "src/fuzz/campaign.hpp"
@@ -28,7 +40,9 @@
 #include "src/minimalist/funcspec.hpp"
 #include "src/minimalist/hfmin.hpp"
 #include "src/opt/cluster.hpp"
+#include "tests/ch_generator.hpp"
 #include "tests/reference_cube.hpp"
+#include "tests/reference_funcspec.hpp"
 
 #if !defined(BB_EXAMPLES_DIR) || !defined(BB_REGRESSION_DIR)
 #error "BB_EXAMPLES_DIR and BB_REGRESSION_DIR must name the source corpora"
@@ -147,10 +161,108 @@ std::size_t expect_same_candidates(const FuncSpec& f, std::size_t num_vars,
   return expected.size();
 }
 
+// ---------- flow-table extraction against the reference ----------
+
+/// Every field of `m`, one cube per line.
+std::string render(const MachineSpec& m) {
+  std::ostringstream out;
+  out << "machine " << m.name << " vars " << m.num_vars << "\ninputs";
+  for (const std::string& i : m.inputs) out << ' ' << i;
+  out << "\nstate bits";
+  for (const std::string& y : m.state_bits) out << ' ' << y;
+  out << "\ncodes";
+  for (const auto& code : m.state_codes) {
+    out << ' ';
+    for (const bool b : code) out << b;
+  }
+  out << "\ninitial ";
+  for (const bool b : m.initial_state_code) out << b;
+  out << ' ';
+  for (const bool b : m.initial_outputs) out << b;
+  out << '\n';
+  for (const FuncSpec& f : m.functions) {
+    out << "fn " << f.name << (f.is_state_bit ? " state" : "") << " off-vars "
+        << f.off.num_vars() << '\n';
+    const auto cubes = [&](const char* kind, const std::vector<Cube>& list) {
+      for (const Cube& c : list) {
+        out << "  " << kind << ' ' << c.to_string() << '\n';
+      }
+    };
+    cubes("required", f.on_required);
+    cubes("point", f.on_points);
+    cubes("off", f.off.cubes());
+    for (const Privilege& p : f.privileges) {
+      out << "  privilege " << p.transition.to_string() << " anchor "
+          << p.anchor.to_string() << '\n';
+    }
+  }
+  return out.str();
+}
+
+/// What extracting `spec` threw: a runtime_error's message, "logic_error"
+/// for a missing value (the reference's std::map::at), or "".
+template <typename Extract>
+std::string extraction_error(const bm::Spec& spec, Extract&& extract_fn,
+                             std::optional<MachineSpec>* machine) {
+  try {
+    *machine = extract_fn(spec);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  } catch (const std::logic_error&) {
+    return "logic_error";
+  }
+  return "";
+}
+
+/// Extracts `spec` with both extractors and asserts the same machine or
+/// the same refusal.  Returns the machine, or nullopt when both refused.
+std::optional<MachineSpec> expect_same_machine(const bm::Spec& spec) {
+  std::optional<MachineSpec> expected, actual;
+  const std::string expected_error = extraction_error(
+      spec, [](const bm::Spec& s) { return reference::extract(s); },
+      &expected);
+  const std::string actual_error = extraction_error(
+      spec, [](const bm::Spec& s) { return extract(s); }, &actual);
+  EXPECT_EQ(actual_error, expected_error);
+  if (actual && expected) {
+    EXPECT_EQ(render(*actual), render(*expected));
+  }
+  return actual;
+}
+
+TEST(ExtractReference, GeneratedProgramMachinesMatchTheReference) {
+  std::size_t machines = 0;
+  for (unsigned seed = 1; seed <= 200; ++seed) {
+    const ch::ExprPtr program = ChGenerator(seed).controller();
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    if (expect_same_machine(bm::compile(*program, "m"))) ++machines;
+  }
+  EXPECT_GT(machines, 150u);
+}
+
+TEST(ExtractReference, RefusalsMatchTheReference) {
+  // State 1 entered with two valuations; an arc leaving a state the
+  // initial state cannot reach (no output values there); and an ON/OFF
+  // conflict from two arcs that claim opposite outputs for one code.
+  const char* const specs[] = {
+      "name twice\ninput a 0\ninput b 0\noutput x 0\n0 1 a+ | x+\n"
+      "0 1 b+ | x+\n1 0 a- | x-\n",
+      "name orphan\ninput a 0\noutput x 0\n0 1 a+ | x+\n1 0 a- | x-\n"
+      "2 0 a+ | x+\n",
+      "name clash\ninput a 0\noutput x 0\noutput y 0\n0 1 a+ | x+\n"
+      "0 2 a+ | y+\n1 0 a- | x-\n2 0 a- | y-\n",
+  };
+  for (const char* text : specs) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(expect_same_machine(bm::parse_bms(text)).has_value());
+  }
+}
+
 // ---------- function specifications from real designs ----------
 
 /// Every function of every controller of `net`, clustered (the optimized
-/// flow) and unclustered (one controller per component), compared.
+/// flow) and unclustered (one controller per component), compared, and
+/// every controller's extraction compared with the reference extractor.
 /// Returns the number of functions compared.
 std::size_t check_netlist(const hsnet::Netlist& net) {
   std::vector<ch::Program> programs, copies;
@@ -167,15 +279,17 @@ std::size_t check_netlist(const hsnet::Netlist& net) {
   }
   std::size_t functions = 0;
   for (const auto& cp : controllers) {
-    MachineSpec machine;
-    try {
-      machine = extract(bm::compile(*cp.program.body, cp.program.name));
-    } catch (const std::exception&) {
-      continue;  // not a synthesizable machine; the flow rejects it too
-    }
     SCOPED_TRACE("controller " + cp.program.name);
-    for (const FuncSpec& f : machine.functions) {
-      expect_same_candidates(f, machine.num_vars, machine.inputs.size());
+    bm::Spec spec;
+    try {
+      spec = bm::compile(*cp.program.body, cp.program.name);
+    } catch (const std::exception&) {
+      continue;  // not a Burst-Mode machine; the flow rejects it too
+    }
+    const std::optional<MachineSpec> machine = expect_same_machine(spec);
+    if (!machine) continue;  // not synthesizable; the flow rejects it too
+    for (const FuncSpec& f : machine->functions) {
+      expect_same_candidates(f, machine->num_vars, machine->inputs.size());
       ++functions;
     }
   }
@@ -443,6 +557,62 @@ TEST(HfminReference, IllegalRowThrowsLikeTheReference) {
   f.off = logic::Cover(3, {Cube::parse("1--")});
   EXPECT_THROW(ref_candidates(f, 3, 3, nullptr), std::runtime_error);
   EXPECT_THROW(dhf_candidates(f, 3, 3, nullptr), std::runtime_error);
+}
+
+// ---------- hand-built seeds around the contested-variable walk ----------
+
+/// The candidates of `f` as strings, after comparing them and their
+/// budget charges with the reference.
+std::vector<std::string> checked_candidates(const FuncSpec& f,
+                                            std::size_t num_vars,
+                                            std::size_t state_base) {
+  expect_same_candidates(f, num_vars, state_base);
+  std::vector<std::string> out;
+  for (const Cube& c : dhf_candidates(f, num_vars, state_base)) {
+    out.push_back(c.to_string());
+  }
+  return out;
+}
+
+TEST(HfminReference, SeedWithNoContestedVariables) {
+  // The one OFF cube conflicts with the seed only on its pinned state bit
+  // (variable 4), so it leaves the matrix: every other fixed literal is
+  // free, and every order raises all of them.
+  FuncSpec f;
+  f.name = "free";
+  f.on_required = {Cube::parse("011010")};
+  f.off = logic::Cover(6, {Cube::parse("----0-")});
+  EXPECT_EQ(checked_candidates(f, 6, 4),
+            std::vector<std::string>{"----1-"});
+}
+
+TEST(HfminReference, FreeVariablesInterleavedWithContestedOnes) {
+  // Seed 10101010: variables 2, 4 and 6 are free; 1 and 3 share one OFF
+  // cube (only one of them can rise), 7 is held by another, 5 reaches a
+  // privileged transition that is legal only once 0, the anchor's only
+  // conflict, has risen.  Variable 0 blocks nothing itself but is
+  // contested all the same: raising it moves the anchor count.
+  FuncSpec f;
+  f.name = "interleaved";
+  f.on_required = {Cube::parse("10101010")};
+  f.off = logic::Cover(
+      8, {Cube::parse("-1-1----"), Cube::parse("-------1")});
+  f.privileges = {{Cube::parse("-----1--"), Cube::parse("0-------")}};
+  EXPECT_EQ(checked_candidates(f, 8, 8),
+            (std::vector<std::string>{"---0---0", "-0---0-0", "---0-0-0"}));
+}
+
+TEST(HfminReference, RotationStartsBetweenContestedVariables) {
+  // Fourteen variables, two contested (2 and 9, one OFF cube: whichever
+  // rises first holds the other).  The rotations start at 2, 4, 6, 8, 10
+  // and 12: 4-8 fall between the contested variables and walk 9 first,
+  // 10 and 12 fall after the last one and wrap around to 2.
+  FuncSpec f;
+  f.name = "rotations";
+  f.on_required = {Cube::parse("00000000000000")};
+  f.off = logic::Cover(14, {Cube::parse("--1------1----")});
+  EXPECT_EQ(checked_candidates(f, 14, 14),
+            (std::vector<std::string>{"---------0----", "--0-----------"}));
 }
 
 }  // namespace

@@ -629,6 +629,8 @@ TEST(Protocol, ParsesSynthesizeRequestWithOptions) {
   EXPECT_EQ(options.jobs, 2);
   EXPECT_EQ(options.cache_instance, nullptr);
   EXPECT_EQ(serve::apply_options({}, 0, &cache).cache_instance, &cache);
+  // Without "jobs" a request's flow stays on its own pool worker.
+  EXPECT_EQ(serve::apply_options({}, 0, &cache).jobs, 1);
   EXPECT_EQ(options.work_budget, 1000);
 }
 
