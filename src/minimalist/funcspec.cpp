@@ -159,11 +159,6 @@ void dash(Cube& c, const std::vector<std::uint32_t>& vars) {
   for (const std::uint32_t v : vars) c.set(v, Lit::kDash);
 }
 
-/// Per function, the exact length of each list extraction fills.
-struct ListSizes {
-  std::size_t required = 0, points = 0, off = 0, privileges = 0;
-};
-
 /// How one output moves across one arc.
 enum OutputMove : std::uint8_t {
   kChanged = 1,  ///< the output burst names it
@@ -245,90 +240,13 @@ MachineSpec extract(const bm::Spec& spec) {
   // answer faster than the feedback settles).  Transition cubes therefore
   // leave predecessor bits unconstrained instead of requiring them low.
   std::vector<std::vector<std::uint32_t>> pred_vars(num_states);
+  std::vector<bool> has_arc(num_states, false);
   for (const bm::Arc& arc : spec.arcs) {
     if (arc.from != arc.to) pred_vars[arc.to].push_back(state_var(arc.from));
+    has_arc[arc.from] = true;
   }
 
-  // Pass 1: how every output moves across every arc, and the exact length
-  // of every list, so each is allocated once.
-  std::vector<std::uint8_t> moves(spec.arcs.size() * num_outputs, 0);
-  std::vector<ListSizes> sizes(num_functions);
-  std::vector<bool> has_arc(num_states, false);
-  Valuation val_e;
-  for (std::size_t a = 0; a < spec.arcs.size(); ++a) {
-    const bm::Arc& arc = spec.arcs[a];
-    const int s = arc.from;
-    const int s2 = arc.to;
-    has_arc[s] = true;
-    const Valuation& val_s = vals[s];
-    val_e = val_s;
-    apply(val_e, signals.in_burst(a));
-    apply(val_e, signals.out_burst(a));
-    std::uint8_t* move = moves.data() + a * num_outputs;
-    for (const Edge& e : signals.out_burst(a)) {
-      if (signals.output[e.signal] != kNone) {
-        move[signals.output[e.signal]] = kChanged;
-      }
-    }
-    const std::size_t burst = arc.in_burst.transitions.size();
-    const std::size_t incomplete = burst > 1 ? burst : 0;
-    for (std::size_t z = 0; z < num_outputs; ++z) {
-      const std::uint32_t signal = signals.outputs[z];
-      if (signals.value(val_s, signal)) move[z] |= kOld;
-      if (signals.value(val_e, signal)) move[z] |= kNew;
-      // The lists pass 2 appends to, branch for branch.
-      ListSizes& n = sizes[z];
-      if (!(move[z] & kChanged)) {
-        ++((move[z] & kOld) ? n.required : n.off);
-      } else if (move[z] == (kChanged | kNew)) {
-        ++n.points;
-        n.off += 1 + incomplete;
-        ++n.privileges;
-      } else {
-        ++n.points;
-        ++n.off;
-        n.required += incomplete;
-        ++n.privileges;
-      }
-      if (s2 != s) ((move[z] & kNew) ? n.required : n.off) += 2;
-    }
-    for (int t = 0; t < spec.num_states; ++t) {
-      ListSizes& n = sizes[state_func_base + t];
-      if (t == s && s2 != s) {
-        ++n.required;
-        n.off += 2;
-        ++n.privileges;
-      } else if (t == s) {
-        ++n.required;
-      } else if (t == s2) {
-        n.required += 2;
-        ++n.points;
-        n.off += 1 + incomplete;
-        ++n.privileges;
-      } else {
-        n.off += s2 != s ? 3 : 1;
-      }
-    }
-  }
-  for (int s = 0; s < spec.num_states; ++s) {
-    if (has_arc[s]) continue;
-    for (std::size_t z = 0; z < num_outputs; ++z) {
-      ++(signals.value(vals[s], signals.outputs[z]) ? sizes[z].required
-                                                    : sizes[z].off);
-    }
-    for (int t = 0; t < spec.num_states; ++t) {
-      ++(t == s ? sizes[state_func_base + t].required
-                : sizes[state_func_base + t].off);
-    }
-  }
   std::vector<std::vector<Cube>> off(num_functions);
-  for (std::size_t fi = 0; fi < num_functions; ++fi) {
-    FuncSpec& f = machine.functions[fi];
-    f.on_required.reserve(sizes[fi].required);
-    f.on_points.reserve(sizes[fi].points);
-    f.privileges.reserve(sizes[fi].privileges);
-    off[fi].reserve(sizes[fi].off);
-  }
 
   const auto add_on = [&](std::size_t fi, Cube c, bool required) {
     (required ? machine.functions[fi].on_required
@@ -370,10 +288,11 @@ MachineSpec extract(const bm::Spec& spec) {
     }
   }
 
-  // Pass 2: the cubes.
   std::vector<std::uint32_t> burst_vars, early_after;
   std::vector<bool> burst_member(num_inputs, false);
   std::vector<Cube> incomplete;
+  std::vector<std::uint8_t> move(num_outputs);
+  Valuation val_e;
   for (std::size_t a = 0; a < spec.arcs.size(); ++a) {
     const int s = spec.arcs[a].from;
     const int s2 = spec.arcs[a].to;
@@ -464,7 +383,21 @@ MachineSpec extract(const bm::Spec& spec) {
     const Cube end_anchor = inputs_only(end_point);
 
     // --- output functions ---
-    const std::uint8_t* move = moves.data() + a * num_outputs;
+    // How each output moves across the arc.
+    val_e = vals[s];
+    apply(val_e, burst);
+    apply(val_e, signals.out_burst(a));
+    std::ranges::fill(move, std::uint8_t{0});
+    for (const Edge& e : signals.out_burst(a)) {
+      if (signals.output[e.signal] != kNone) {
+        move[signals.output[e.signal]] = kChanged;
+      }
+    }
+    for (std::size_t fi = 0; fi < num_outputs; ++fi) {
+      const std::uint32_t signal = signals.outputs[fi];
+      if (signals.value(vals[s], signal)) move[fi] |= kOld;
+      if (signals.value(val_e, signal)) move[fi] |= kNew;
+    }
     for (std::size_t fi = 0; fi < num_outputs; ++fi) {
       if (!(move[fi] & kChanged)) {
         // Static through the burst.

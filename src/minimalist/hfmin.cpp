@@ -287,8 +287,8 @@ std::vector<Cube> expand_rows(const FuncSpec& spec,
   // at variable k * num_vars / (rotations + 1).
   const std::size_t rotations = std::min<std::size_t>(6, num_vars);
 
-  // The expander's columns keep their capacity from call to call.
-  thread_local SeedExpander expander;
+  // One expander per call: its columns keep their capacity across seeds.
+  SeedExpander expander;
   std::vector<std::size_t> walks;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     expander.load(rows[i], groups[group_of[i]], state_base);
